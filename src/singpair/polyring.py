@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import ExactDivisionError, PolyParseError, RingMismatchError
 
@@ -23,24 +26,33 @@ Scalar = Union[Fraction, int]
 
 
 def exp_add(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_divides(a: Exponents, b: Exponents) -> bool:
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _grevlex_key(exps: Exponents) -> tuple:
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+@lru_cache(maxsize=None)
+def _descending_key(kind: str, block: int) -> Callable[[Exponents], tuple]:
+    """The elementwise negation of MonomialOrder(kind, block).sort_key."""
+    if kind == "lex":
+        return lambda e: tuple(map(neg, e))
+    if kind == "grevlex":
+        return lambda e: (-sum(e), *e[::-1])
+    if kind == "elim":
+        k = block
+        return lambda e: (-sum(e[:k]), *e[k - 1 :: -1], -sum(e[k:]), *e[: k - 1 : -1])
+    raise ValueError(f"unknown order kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +81,30 @@ class MonomialOrder:
             raise ValueError("elimination block must be positive")
         return MonomialOrder("elim", block)
 
-    def sort_key(self, exps: Exponents):
+    def sort_key(self, exps: Exponents) -> tuple:
+        """A flat tuple, larger for larger monomials.
+
+        grevlex compares the total degree, then the negated exponents from
+        the last variable back; elim compares its two blocks that way in
+        turn, the leading block first.
+        """
         if self.kind == "lex":
             return exps
         if self.kind == "grevlex":
-            return _grevlex_key(exps)
+            return (sum(exps), *map(neg, reversed(exps)))
         if self.kind == "elim":
-            return (_grevlex_key(exps[: self.block]), _grevlex_key(exps[self.block :]))
+            k = self.block
+            return (
+                sum(exps[:k]), *map(neg, reversed(exps[:k])),
+                sum(exps[k:]), *map(neg, reversed(exps[k:])),
+            )
         raise ValueError(f"unknown order kind {self.kind!r}")
+
+    @property
+    def descending_key(self) -> Callable[[Exponents], tuple]:
+        """The negated sort_key: the largest monomial has the smallest key,
+        so a heapq of these keys pops monomials in decreasing order."""
+        return _descending_key(self.kind, self.block)
 
     def __str__(self) -> str:
         if self.kind == "elim":
@@ -146,13 +174,18 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """Immutable polynomial: exponent tuple -> nonzero Fraction."""
+    """Immutable polynomial: exponent tuple -> nonzero Fraction.
 
-    __slots__ = ("ring", "terms")
+    _lm caches the leading monomial, which is safe because terms is never
+    mutated after construction.
+    """
+
+    __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[Exponents, Fraction]) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
+        object.__setattr__(self, "_lm", None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -202,10 +235,14 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def leading_monomial(self) -> Exponents:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        key = self.ring.order.sort_key
-        return max(self.terms, key=key)
+        """The largest monomial, computed once; it is a key object of terms."""
+        lm = self._lm
+        if lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            lm = max(self.terms, key=self.ring.order.sort_key)
+            object.__setattr__(self, "_lm", lm)
+        return lm
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
@@ -292,18 +329,19 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise ExactDivisionError("division by zero polynomial")
-        quotient = self.ring.zero()
-        rem = self
         lm_o = other.leading_monomial()
-        lc_o = other.leading_coefficient()
-        while not rem.is_zero():
-            lm_r = rem.leading_monomial()
+        lc_o = other.terms[lm_o]
+        rem = Dividend(self)
+        quotient: dict[Exponents, Fraction] = {}
+        while (top := rem.pop_leading()) is not None:
+            lm_r, c = top
             if not exp_divides(lm_o, lm_r):
                 raise ExactDivisionError(f"{other} does not divide {self}")
-            t = Polynomial(self.ring, {exp_sub(lm_r, lm_o): rem.terms[lm_r] / lc_o})
-            quotient = quotient + t
-            rem = rem - t * other
-        return quotient
+            shift = exp_sub(lm_r, lm_o)
+            q = c / lc_o
+            quotient[shift] = q
+            rem.subtract(shift, q, other)
+        return Polynomial(self.ring, quotient)
 
     def divides(self, other: "Polynomial") -> bool:
         try:
@@ -366,20 +404,37 @@ class Polynomial:
                 powers[(name, k)] = got
             return got
 
-        out = ring.zero()
+        out: dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
             piece = ring.const(c)
             for i, k in enumerate(e):
                 if k:
                     piece = piece * power(self.ring.names[i], k)
-            out = out + piece
-        return out
+            for m, v in piece.terms.items():
+                s = out.get(m, 0) + v
+                if s == 0:
+                    del out[m]
+                else:
+                    out[m] = s
+        return Polynomial(ring, out)
 
     def in_ring(self, ring: PolynomialRing) -> "Polynomial":
-        """Transport to another ring by variable name."""
+        """Transport to another ring by variable name.
+
+        Same result as substitute({}, ring), computed by moving exponents:
+        every variable used must exist in ring, and other variables of
+        self.ring are dropped, so no two terms meet.
+        """
         if ring == self.ring:
             return self
-        return self.substitute({}, ring)
+        for name in self.variables_used():
+            ring.index(name)
+        names = self.ring.names
+        # position in a source exponent tuple padded with one 0, per target variable
+        where = [names.index(n) if n in names else -1 for n in ring.names]
+        return Polynomial(
+            ring, {tuple(map((e + (0,)).__getitem__, where)): c for e, c in self.terms.items()}
+        )
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         total = Fraction(0)
@@ -456,6 +511,55 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring}>"
+
+
+class Dividend:
+    """A polynomial being divided, held in place.
+
+    The terms live in one mutable dict and their monomials in a heap keyed
+    by the order's descending_key, so the leading term is found without a
+    scan and subtracting a multiple of a divisor touches only the divisor's
+    terms. A monomial that cancels keeps its heap entry, which is skipped
+    when it surfaces. Every monomial subtract() adds lies below the term
+    just popped, so a popped monomial never comes back.
+    """
+
+    __slots__ = ("terms", "_heap", "_key")
+
+    def __init__(self, f: Polynomial) -> None:
+        self.terms = dict(f.terms)
+        self._key = key = f.ring.order.descending_key
+        self._heap = [(key(e), e) for e in self.terms]
+        heapify(self._heap)
+
+    def pop_leading(self) -> tuple[Exponents, Fraction] | None:
+        """Remove and return the leading term, or None once nothing is left."""
+        heap, terms = self._heap, self.terms
+        while heap:
+            e = heappop(heap)[1]
+            c = terms.pop(e, None)
+            if c is not None:
+                return e, c
+        return None
+
+    def subtract(self, shift: Exponents, q: Fraction, g: Polynomial) -> None:
+        """Subtract q * x^shift * g, whose leading term cancels the one just popped."""
+        terms, heap, key = self.terms, self._heap, self._key
+        lm_g = g.leading_monomial()
+        for e, c in g.terms.items():
+            if e is lm_g:
+                continue
+            m = exp_add(e, shift)
+            old = terms.get(m)
+            if old is None:
+                terms[m] = -q * c
+                heappush(heap, (key(m), m))
+            else:
+                s = old - q * c
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
 
 
 # -- parsing ----------------------------------------------------------------

@@ -339,14 +339,10 @@ class Stratification:
         ring = g.ring
         i = ring.index(name)
         d = max(e[i] for e in g.terms)
-        out = ring.zero()
-        for e, c in g.terms.items():
-            if e[i] != d:
-                continue
-            stripped = list(e)
-            stripped[i] = 0
-            out = out + Polynomial(ring, {tuple(stripped): c})
-        return out
+        # terms of top degree in name differ outside position i, so none collide
+        return Polynomial(
+            ring, {(*e[:i], 0, *e[i + 1 :]): c for e, c in g.terms.items() if e[i] == d}
+        )
 
     # -- access --------------------------------------------------------------------
 

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from singpair import ideals
 from singpair.errors import (
     BudgetExceededError,
     EmptyVarietyError,
     NotZeroDimensionalError,
 )
 from singpair.ideals import (
+    _charge,
     Ideal,
     fresh_name,
     groebner,
@@ -15,7 +18,7 @@ from singpair.ideals import (
     reduction_budget,
     s_polynomial,
 )
-from singpair.polyring import MonomialOrder, PolynomialRing
+from singpair.polyring import MonomialOrder, Polynomial, PolynomialRing, exp_divides, exp_sub
 
 
 R3 = PolynomialRing(("x", "y", "z"))
@@ -155,3 +158,224 @@ def test_ideal_equality_and_hash_by_canonical_basis():
     assert a == b
     assert hash(a) == hash(b)
     assert a.canonical_key() == b.canonical_key()
+
+
+# -- the in-place kernel against a reference that rebuilds at every step -------
+
+
+def _nested_grevlex(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def reference_key(order):
+    """The order as nested tuples: grevlex of a block is (degree, negated
+    reversed exponents), elim compares its two blocks in turn."""
+    if order.kind == "lex":
+        return lambda exps: exps
+    if order.kind == "grevlex":
+        return _nested_grevlex
+    k = order.block
+    return lambda exps: (_nested_grevlex(exps[:k]), _nested_grevlex(exps[k:]))
+
+
+def reference_normal_form(f, basis):
+    """First-divisor division that rescans for the leading monomial and
+    rebuilds the whole polynomial at every step."""
+    if not basis:
+        return f
+    ring = f.ring
+    key = reference_key(ring.order)
+
+    def lm_of(p):
+        return max(p.terms, key=key)
+
+    lead = [(lm_of(g), g.terms[lm_of(g)], g) for g in basis]
+    p = f
+    remainder = ring.zero()
+    while not p.is_zero():
+        lm = lm_of(p)
+        for lm_g, lc_g, g in lead:
+            if exp_divides(lm_g, lm):
+                t = Polynomial(ring, {exp_sub(lm, lm_g): p.terms[lm] / lc_g})
+                p = p - t * g
+                _charge()
+                break
+        else:
+            lt = Polynomial(ring, {lm: p.terms[lm]})
+            remainder = remainder + lt
+            p = p - lt
+    return remainder
+
+
+def reference_exact_div(f, other):
+    key = reference_key(f.ring.order)
+    lm_o = max(other.terms, key=key)
+    quotient = f.ring.zero()
+    rem = f
+    while not rem.is_zero():
+        lm_r = max(rem.terms, key=key)
+        assert exp_divides(lm_o, lm_r)
+        t = Polynomial(f.ring, {exp_sub(lm_r, lm_o): rem.terms[lm_r] / other.terms[lm_o]})
+        quotient = quotient + t
+        rem = rem - t * other
+    return quotient
+
+
+ORDERS = (MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1), MonomialOrder.elim(2))
+
+
+def random_poly(rng, ring, terms, degree):
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, degree) for _ in ring.names)
+        out[exps] = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+    return Polynomial(ring, out)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_sort_keys_order_like_nested_reference(order):
+    rng = random.Random(str(order))
+    ring = PolynomialRing(("a", "b", "c", "d"), order)
+    monos = sorted({tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(200)})
+    ascending = sorted(monos, key=reference_key(order))
+    assert sorted(monos, key=order.sort_key) == ascending
+    assert sorted(monos, key=order.descending_key) == ascending[::-1]
+    f = Polynomial(ring, {e: Fraction(1) for e in monos})
+    assert f.leading_monomial() == ascending[-1]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_normal_form_matches_reference(order):
+    rng = random.Random(f"nf-{order}")
+    ring = PolynomialRing(("a", "b", "c", "d"), order)
+    steps = 0
+    for _ in range(40):
+        basis = [random_poly(rng, ring, rng.randint(1, 5), 3) for _ in range(rng.randint(1, 4))]
+        basis = [g for g in basis if not g.is_zero()]
+        f = random_poly(rng, ring, rng.randint(0, 12), 5)
+        with reduction_budget(10**6) as new_meter:
+            got = normal_form(f, basis)
+        with reduction_budget(10**6) as old_meter:
+            want = reference_normal_form(f, basis)
+        assert got == want
+        assert list(got.terms) == list(want.terms)  # same insertion order
+        assert new_meter.used == old_meter.used
+        steps += new_meter.used
+    assert steps > 100
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_s_polynomial_matches_reference(order):
+    rng = random.Random(f"spoly-{order}")
+    ring = PolynomialRing(("a", "b", "c", "d"), order)
+    for _ in range(40):
+        f = random_poly(rng, ring, rng.randint(1, 6), 3)
+        g = random_poly(rng, ring, rng.randint(1, 6), 3)
+        if f.is_zero() or g.is_zero():
+            continue
+        for f, g in ((f, g), (f.monic(), g.monic()), (f, f)):
+            lm_f, lm_g = f.leading_monomial(), g.leading_monomial()
+            l = tuple(map(max, lm_f, lm_g))
+            mf = Polynomial(ring, {exp_sub(l, lm_f): 1 / f.leading_coefficient()})
+            mg = Polynomial(ring, {exp_sub(l, lm_g): 1 / g.leading_coefficient()})
+            assert s_polynomial(f, g) == mf * f - mg * g
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_exact_div_matches_reference(order):
+    rng = random.Random(f"div-{order}")
+    ring = PolynomialRing(("a", "b", "c", "d"), order)
+    for _ in range(30):
+        f = random_poly(rng, ring, rng.randint(1, 6), 3)
+        g = random_poly(rng, ring, rng.randint(1, 6), 3)
+        if f.is_zero() or g.is_zero():
+            continue
+        got = (f * g).exact_div(g)
+        assert got == f
+        assert list(got.terms) == list(reference_exact_div(f * g, g).terms)
+
+
+def cyclic(n):
+    ring = PolynomialRing(tuple(f"x{i}" for i in range(n)))
+    x = ring.gens()
+    gens = []
+    for k in range(1, n):
+        total = ring.zero()
+        for i in range(n):
+            term = ring.one()
+            for j in range(k):
+                term = term * x[(i + j) % n]
+            total = total + term
+        gens.append(total)
+    prod = ring.one()
+    for v in x:
+        prod = prod * v
+    return ring, gens + [prod - 1]
+
+
+def katsura(n):
+    ring = PolynomialRing(tuple(f"u{i}" for i in range(n + 1)))
+    u = ring.gens()
+
+    def at(k):
+        return u[abs(k)] if abs(k) <= n else ring.zero()
+
+    first = ring.zero()
+    for l in range(-n, n + 1):
+        first = first + at(l)
+    gens = [first - 1]
+    for m in range(n):
+        total = ring.zero()
+        for l in range(-n, n + 1):
+            total = total + at(l) * at(m - l)
+        gens.append(total - at(m))
+    return ring, gens
+
+
+@pytest.mark.parametrize(
+    "system, steps, dim, roots",
+    [(cyclic(4), 30, 1, None), (katsura(4), 534, 0, 16)],
+    ids=["cyclic-4", "katsura-4"],
+)
+def test_standard_systems_take_pinned_step_counts(system, steps, dim, roots):
+    # the step count is the budget unit; a change of pair order or divisor
+    # choice in the kernel would move it
+    ring, gens = system
+    ideal = Ideal(ring, gens)
+    with reduction_budget(10**6) as meter:
+        ideal.groebner()
+    assert meter.used == steps
+    assert ideal.dimension_or_none() == dim
+    if roots is not None:
+        assert ideal.vector_space_dimension() == roots
+
+
+def test_reduced_basis_shares_exponents_and_coefficients():
+    ideals._pool.clear()
+    ring, gens = katsura(3)
+    gb = Ideal(ring, gens).groebner()
+    exps, coeffs = {}, {}
+    for g in gb:
+        for e, c in g.terms.items():
+            assert exps.setdefault(e, e) is e
+            assert coeffs.setdefault(c, c) is c
+    assert len(exps) < sum(len(g.terms) for g in gb)
+    # sharing changes storage only: each element equals a freshly parsed copy
+    for g in gb:
+        fresh = ring.parse(str(g))
+        assert fresh == g and hash(fresh) == hash(g)
+    # the same basis computed again, in an equal ring, reuses the stored objects
+    again = Ideal(*katsura(3)).groebner()
+    assert again == gb
+    for g, h in zip(gb, again):
+        assert all(e is f for e, f in zip(g.terms, h.terms))
+        assert all(c is d for c, d in zip(g.terms.values(), h.terms.values()))
+
+
+def test_storage_pool_is_emptied_once_full(monkeypatch):
+    monkeypatch.setattr(ideals, "_POOL_LIMIT", 5)
+    ideals._pool.clear()
+    ideals._share_storage([R3.parse("x^2 + 2*y + 3")])
+    assert len(ideals._pool) == 6  # three exponent tuples, three coefficients
+    ideals._share_storage([R3.parse("z + 5")])
+    assert len(ideals._pool) == 4  # over the limit, so emptied before this basis

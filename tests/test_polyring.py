@@ -1,3 +1,5 @@
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,6 +113,48 @@ def test_in_ring_transport_by_name():
     g = f.in_ring(R)
     assert g == R.parse("x - y^2")
     assert g.ring == R
+
+
+def test_in_ring_moves_exponents_like_substitution():
+    rng = random.Random(5)
+    wide = PolynomialRing(("a", "x", "y", "z", "t"), MonomialOrder.elim(1))
+    for _ in range(20):
+        f = Polynomial(R, {
+            tuple(rng.randint(0, 3) for _ in range(4)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 8))
+        })
+        g = f.in_ring(wide)
+        want = f.substitute({}, wide)
+        assert g == want and list(g.terms) == list(want.terms)
+        back = g.in_ring(R)
+        assert back == f and list(back.terms) == list(f.terms)
+    # variables the polynomial does not use may be dropped; used ones may not
+    assert R.parse("x - y^2").in_ring(PolynomialRing(("y", "x"))).ring.names == ("y", "x")
+    with pytest.raises(KeyError):
+        R.parse("x - t").in_ring(PolynomialRing(("x", "y")))
+
+
+def test_substitute_accumulates_in_term_order():
+    C = PolynomialRing(("x", "yp", "zp", "t"))
+    f = R.parse("x^2 - y^2 + t*z^2 + 3*x*y - y*z + 2")
+    bindings = {"y": C.parse("yp*x + 1"), "z": C.parse("zp*x - yp")}
+    got = f.substitute(bindings, C)
+    # reference: add the image of each term to a running sum
+    want = C.zero()
+    for e, c in f.terms.items():
+        piece = C.const(c)
+        for name, k in zip(R.names, e):
+            if k:
+                piece = piece * (bindings[name] if name in bindings else C.var(name)) ** k
+        want = want + piece
+    assert got == want and list(got.terms) == list(want.terms)
+
+
+def test_rings_stay_picklable_after_use():
+    E = R.with_order(MonomialOrder.elim(2))
+    f = E.parse("x*y + z^3 - t")
+    assert f.leading_monomial() == (1, 1, 0, 0)
+    assert pickle.loads(pickle.dumps(E)) == E
 
 
 def test_parse_many_semicolon_list():
