@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import CenterError
 from .geometry import singular_locus
@@ -69,6 +70,29 @@ class Chart:
         return self.relations.is_trivial()
 
 
+def graph_ideal(
+    chart: Chart, gens: Iterable[Polynomial], base_ring: PolynomialRing
+) -> tuple[Ideal, dict[str, Polynomial]]:
+    """gens on the graph of the chart's map to the input coordinates.
+
+    The ring is the chart ring with a tagged copy of every input coordinate
+    adjoined, and each copy is bound to its chart expression. The tag is
+    "_b_" unless a chart or input variable starts with it; then the first of
+    "_b0_", "_b1_", ... that none starts with. Returned with the renaming
+    that takes the tagged copies back to the input coordinates.
+    """
+    taken = chart.ring.names + base_ring.names
+    tag, k = "_b_", 0
+    while any(n.startswith(tag) for n in taken):
+        tag, k = f"_b{k}_", k + 1
+    work = PolynomialRing(chart.ring.names + tuple(tag + n for n in base_ring.names))
+    binding = chart.binding_map()
+    out = [g.in_ring(work) for g in gens]
+    out.extend(work.var(tag + n) - binding[n].in_ring(work) for n in base_ring.names)
+    rename = {tag + n: base_ring.var(n) for n in base_ring.names}
+    return Ideal(work, out), rename
+
+
 def blowdown_image(chart: Chart, ideal: Ideal, base_ring: PolynomialRing) -> Ideal:
     """Image of a chart-side ideal in the input coordinates.
 
@@ -76,17 +100,8 @@ def blowdown_image(chart: Chart, ideal: Ideal, base_ring: PolynomialRing) -> Ide
     coordinates, bind them to the chart expressions, eliminate the chart
     variables.
     """
-    tag = "_b_"
-    for n in chart.ring.names:
-        assert not n.startswith(tag), "tag collision"
-    tagged = tuple(tag + n for n in base_ring.names)
-    work = PolynomialRing(chart.ring.names + tagged)
-    gens = [g.in_ring(work) for g in ideal.gens]
-    binding = chart.binding_map()
-    for n in base_ring.names:
-        gens.append(work.var(tag + n) - binding[n].in_ring(work))
-    projected = Ideal(work, gens).eliminate(set(chart.ring.names))
-    rename = {tag + n: base_ring.var(n) for n in base_ring.names}
+    graph, rename = graph_ideal(chart, ideal.gens, base_ring)
+    projected = graph.eliminate(set(chart.ring.names))
     out = [g.substitute(rename, base_ring) for g in projected.gens]
     return Ideal(base_ring, tuple(out))
 

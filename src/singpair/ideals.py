@@ -12,8 +12,14 @@ descending key (polyring.Dividend). Its strategy is fixed: the leading term
 is reduced by the first basis element, in basis order, whose leading
 monomial divides it, one budget step is charged per such reduction, and a
 leading term no element divides moves to the remainder. The S-pairs wait
-in a heap of (key of the lcm, i, j, lcm), computed once per pair, so they
-are treated smallest lcm first with ties broken by (i, j). Reduced bases
+in a heap, their keys computed once per pair. Under a degree-compatible
+order (grevlex) they are treated smallest lcm first with ties broken by
+(i, j), Buchberger's normal strategy. Under lex and elim orders, where the
+lcm order strays into high degrees, the smallest sugar goes first and the
+lcm breaks ties: sugar is the degree the S-polynomial would have if every
+input were homogenized (Giovini, Mora, Niesi, Robbiano, Traverso, "One
+sugar cube, please", ISSAC 1991). The strategy changes only the path, not
+the reduced basis, which is unique. Reduced bases
 store each distinct exponent tuple and coefficient once, shared within the
 basis and with recently built bases, which keeps bases cheap to hold on to.
 """
@@ -219,23 +225,32 @@ def _buchberger(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     if any(g.is_constant() for g in basis):
         return (ring.one(),)
     lead = [g.leading_monomial() for g in basis]
+    # sugar: the total degree each element would have if every reduction kept
+    # degrees homogeneous; an input element's is its total degree
+    by_sugar = not ring.order.degree_compatible
+    sugar = [g.total_degree() for g in basis]
     # the pairs still to treat, as a set for the chain criterion and as a heap
-    # of (key of the lcm, i, j, lcm) that pops them in the order of the
-    # smallest lcm first, ties broken by (i, j)
+    # of (sugar, key of the lcm, i, j, lcm) that pops them by the smallest
+    # sugar, then the smallest lcm, ties broken by (i, j); the sugar is 0 for
+    # every pair under a degree-compatible order, where the lcm alone decides
     pending: set[tuple[int, int]] = set()
-    queue: list[tuple[tuple, int, int, Exponents]] = []
+    queue: list[tuple[int, tuple, int, int, Exponents]] = []
 
     def add_pair(i: int, j: int) -> None:
         lcm = exp_lcm(lead[i], lead[j])
         pending.add((i, j))
-        heappush(queue, (key(lcm), i, j, lcm))
+        s = 0
+        if by_sugar:
+            d = sum(lcm)
+            s = max(sugar[i] + d - sum(lead[i]), sugar[j] + d - sum(lead[j]))
+        heappush(queue, (s, key(lcm), i, j, lcm))
 
     for j in range(len(basis)):
         for i in range(j):
             add_pair(i, j)
 
     while queue:
-        _, i, j, lcm_ij = heappop(queue)
+        s_ij, _, i, j, lcm_ij = heappop(queue)
         pending.discard((i, j))
         if exp_add(lead[i], lead[j]) == lcm_ij:
             continue  # coprime leading monomials
@@ -256,6 +271,7 @@ def _buchberger(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
             return (ring.one(),)
         basis.append(r)
         lead.append(r.leading_monomial())
+        sugar.append(s_ij)
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)

@@ -101,6 +101,14 @@ class MonomialOrder:
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     @property
+    def degree_compatible(self) -> bool:
+        """Whether a monomial of larger total degree is always larger.
+
+        Only grevlex is: lex and elim compare a leading block first.
+        """
+        return self.kind == "grevlex"
+
+    @property
     def descending_key(self) -> Callable[[Exponents], tuple]:
         """The negated sort_key: the largest monomial has the smallest key,
         so a heapq of these keys pops monomials in decreasing order."""

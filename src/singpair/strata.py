@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import Chart, ResolutionTower
-from .errors import CompleteIntersectionError, FactorScopeError
+from .blowup import Chart, ResolutionTower, graph_ideal
+from .errors import CompleteIntersectionError, EmptyVarietyError, FactorScopeError
 from .factor import factor
 from .geometry import center_quadratic_form, quadric_rank_drop, singular_locus
 from .ideals import Ideal
-from .polyring import Polynomial, PolynomialRing
+from .polyring import Polynomial
 
 PRESETS = {
     "curve_recipe": ("images", "singular_images", "components"),
@@ -127,7 +127,8 @@ class Stratification:
         self.pieces: list[StratumPiece] = []
         self._variety = Ideal(self.base_ring, tower.input_relations)
         dim = self._dim(self._variety)
-        assert dim is not None, "input variety is empty"
+        if dim is None:
+            raise EmptyVarietyError("input variety is empty")
         self.top = dim
         self._build(user_pieces)
 
@@ -306,18 +307,12 @@ class Stratification:
 
     def _jump_candidates(self) -> list[tuple[int, Ideal]]:
         found: dict = {}
-        tag = "_b_"
         base = self.base_ring
         for chart in self.tower.nonempty_leaves():
             var_step = self._new_variables_by_step(chart)
             if not var_step:
                 continue
-            work = PolynomialRing(chart.ring.names + tuple(tag + n for n in base.names))
-            gens = [g.in_ring(work) for g in chart.relations.gens]
-            binding = chart.binding_map()
-            for n in base.names:
-                gens.append(work.var(tag + n) - binding[n].in_ring(work))
-            graph = Ideal(work, tuple(gens))
+            graph, rename = graph_ideal(chart, chart.relations.gens, base)
             for v, s in sorted(var_step.items()):
                 drop_vars = set(chart.ring.names) - {v}
                 elim = graph.eliminate(drop_vars)
@@ -328,7 +323,6 @@ class Stratification:
                     lc = self._leading_coefficient_in(g, v)
                     if lc.is_constant():
                         continue
-                    rename = {tag + n: base.var(n) for n in base.names}
                     lc_base = lc.substitute(rename, base)
                     candidate = self._center_ideal(s).plus([lc_base])
                     found.setdefault(candidate.canonical_key(), (s, candidate))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 
@@ -11,6 +12,7 @@ from singpair.errors import (
 )
 from singpair.ideals import (
     _charge,
+    _interreduce,
     Ideal,
     fresh_name,
     groebner,
@@ -18,7 +20,15 @@ from singpair.ideals import (
     reduction_budget,
     s_polynomial,
 )
-from singpair.polyring import MonomialOrder, Polynomial, PolynomialRing, exp_divides, exp_sub
+from singpair.polyring import (
+    MonomialOrder,
+    Polynomial,
+    PolynomialRing,
+    exp_add,
+    exp_divides,
+    exp_lcm,
+    exp_sub,
+)
 
 
 R3 = PolynomialRing(("x", "y", "z"))
@@ -348,6 +358,98 @@ def test_standard_systems_take_pinned_step_counts(system, steps, dim, roots):
     assert ideal.dimension_or_none() == dim
     if roots is not None:
         assert ideal.vector_space_dimension() == roots
+
+
+def reference_buchberger(gens):
+    """Buchberger with the normal strategy under every order: the pair with
+    the smallest lcm first, ties broken by (i, j); otherwise as the kernel."""
+    ring = gens[0].ring
+    key = ring.order.sort_key
+    basis = [g.monic() for g in _interreduce(gens)]
+    if any(g.is_constant() for g in basis):
+        return (ring.one(),)
+    lead = [g.leading_monomial() for g in basis]
+    pending = set()
+    queue = []
+
+    def add_pair(i, j):
+        lcm = exp_lcm(lead[i], lead[j])
+        pending.add((i, j))
+        heappush(queue, (key(lcm), i, j, lcm))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            add_pair(i, j)
+    while queue:
+        _, i, j, lcm_ij = heappop(queue)
+        pending.discard((i, j))
+        if exp_add(lead[i], lead[j]) == lcm_ij:
+            continue
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not exp_divides(lead[k], lcm_ij):
+                continue
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+                skip = True
+                break
+        if skip:
+            continue
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if r.is_zero():
+            continue
+        r = r.monic()
+        if r.is_constant():
+            return (ring.one(),)
+        basis.append(r)
+        lead.append(r.leading_monomial())
+        new = len(basis) - 1
+        for k in range(new):
+            add_pair(k, new)
+    return _interreduce(basis)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_groebner_matches_normal_strategy_reference(order):
+    # a reduced basis is unique, so the pair order may shorten the path to it
+    # but never change it; under grevlex the pair order is the reference's
+    rng = random.Random(f"gb-{order}")
+    ring = PolynomialRing(("a", "b", "c"), order)
+    steps = 0
+    for _ in range(30):
+        gens = [random_poly(rng, ring, rng.randint(1, 4), 2) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        with reduction_budget(10**6) as new_meter:
+            got = groebner(gens)
+        with reduction_budget(10**6) as old_meter:
+            want = reference_buchberger(gens)
+        assert got == want
+        assert [list(g.terms) for g in got] == [list(g.terms) for g in want]
+        if order.degree_compatible:
+            assert new_meter.used == old_meter.used
+        steps += old_meter.used
+    assert steps > 100
+
+
+def test_elimination_order_takes_pinned_step_count():
+    # katsura-3 under elim(2) takes 181 steps by sugar; the normal strategy
+    # of the reference takes 256 to the same basis
+    ring, gens = katsura(3)
+    ring = ring.with_order(MonomialOrder.elim(2))
+    gens = [g.in_ring(ring) for g in gens]
+    with reduction_budget(10**6) as meter:
+        gb = groebner(gens)
+    with reduction_budget(10**6) as old_meter:
+        assert reference_buchberger(gens) == gb
+    assert meter.used == 181
+    assert old_meter.used == 256
+
+
+def test_only_grevlex_is_degree_compatible():
+    assert MonomialOrder.grevlex().degree_compatible
+    assert not MonomialOrder.lex().degree_compatible
+    assert not MonomialOrder.elim(1).degree_compatible
 
 
 def test_reduced_basis_shares_exponents_and_coefficients():

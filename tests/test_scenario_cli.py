@@ -1,6 +1,7 @@
 """Scenario parsing, validation diagnostics, and the command-line driver."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -255,3 +256,40 @@ class TestCommandLine:
         transform = next(t for t in report["tasks"] if t["name"] == "diag_transform")
         for gens in transform["payload"]["charts"].values():
             assert all(isinstance(g, str) for g in gens)
+
+    def test_empty_input_variety_is_reported_per_task(self, tmp_path, capsys):
+        # x = 0 and x = 1 have no common zero; the scenario still validates
+        text = (
+            "[ring]\nvars = x, y\n[space]\nkind = affine\nrelations = x; x - 1\n"
+            "[tower]\ns1: center = x; y\n[strata]\nmain: rules = images\n"
+            "[tasks]\nst: kind = stratify | strat = main\n"
+            "layout: kind = audit-tower\n"
+        )
+        path = scn(tmp_path, text)
+        assert main(["validate", str(path)]) == 0
+        report = tmp_path / "r.json"
+        code = main(["run", str(path), "--json", str(report)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "error:empty_variety" in out
+        rows = {t["name"]: t for t in json.loads(report.read_text())["tasks"]}
+        assert rows["st"]["status"] == "error:empty_variety"
+        assert rows["st"]["payload"]["message"] == "input variety is empty"
+        assert set(rows) == {"st", "layout"}
+
+    def test_variable_named_like_a_graph_tag(self, tmp_path, capsys):
+        # "_b_" tags the input coordinates in the graph construction; a
+        # variable "_b_x" collides with the tagged x unless the tag moves
+        text = (CORPUS / "affine_quadric_cone.scn").read_text()
+        reports = {}
+        for name in ("_b_x", "w"):
+            path = scn(tmp_path, re.sub(r"\bt\b", name, text), f"{name}.scn")
+            out = tmp_path / f"{name}.json"
+            assert main(["run", str(path), "--json", str(out)]) == 0
+            reports[name] = json.loads(out.read_text())["tasks"]
+        capsys.readouterr()
+        assert [t["status"] for t in reports["_b_x"]] == ["ok"] * len(reports["w"])
+        for tagged, plain in zip(reports["_b_x"], reports["w"]):
+            renamed = re.sub(r"\b_b_x\b", "w", json.dumps(tagged["payload"], sort_keys=True))
+            assert renamed == json.dumps(plain["payload"], sort_keys=True)
+            assert tagged["counters"] == plain["counters"]
