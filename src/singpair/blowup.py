@@ -318,6 +318,14 @@ class ResolutionTower:
             )
         return ResolutionTower(ring, relations, leaves, projective=True)
 
+    def copy(self) -> "ResolutionTower":
+        """A tower that can grow apart from this one; the frozen charts are shared."""
+        tower = ResolutionTower(
+            self.input_ring, self.input_relations, list(self.leaves), self.projective
+        )
+        tower.steps = list(self.steps)
+        return tower
+
     def center_on_chart(self, leaf: Chart, center: tuple[Polynomial, ...]) -> Ideal:
         """Transform input-coordinate center generators onto a leaf chart.
 

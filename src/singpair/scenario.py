@@ -469,7 +469,9 @@ class Workspace:
 
     Towers are cached by step count and stratifications by (name, step
     count), so repeated tasks share the construction cost and reports
-    stay deterministic.
+    stay deterministic. Building a tower keeps a snapshot after every
+    step, and a tower not yet built grows from the longest cached prefix,
+    so no blowup is done twice in one run.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -481,13 +483,18 @@ class Workspace:
         count = len(self.scenario.steps) if prefix is None else prefix
         if count not in self._towers:
             sc = self.scenario
-            if sc.kind == "projective":
-                tower = ResolutionTower.projective(sc.ring, sc.relations)
-            else:
-                tower = ResolutionTower.affine(sc.ring, sc.relations)
-            for _, gens in sc.steps[:count]:
-                tower.blow_up(gens)
-            self._towers[count] = tower
+            if not self._towers:
+                if sc.kind == "projective":
+                    base = ResolutionTower.projective(sc.ring, sc.relations)
+                else:
+                    base = ResolutionTower.affine(sc.ring, sc.relations)
+                self._towers[0] = base
+            start = max(k for k in self._towers if k <= count)
+            tower = self._towers[start]
+            for k in range(start, count):
+                tower = tower.copy()
+                tower.blow_up(sc.steps[k][1])
+                self._towers[k + 1] = tower
         return self._towers[count]
 
     def strat(self, name: str, prefix: int | None = None) -> Stratification:

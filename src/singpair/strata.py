@@ -11,7 +11,10 @@ Rules:
 
   images           center images, plus loci where the fiber dimension of the
                    resolution jumps (leading-coefficient loci of chart
-                   eliminants over the base)
+                   eliminants over the base). A jump locus is a proper
+                   closed subset of its center, so it is sought only over
+                   centers of positive dimension: over a point nothing
+                   smaller is left, and no elimination is run.
   fibers           degeneration loci of the quadratic cone transverse to a
                    coordinate-like center (rank drop of the induced form)
   singular_images  singular loci of the center images, and pairwise
@@ -126,6 +129,8 @@ class Stratification:
         self.warnings: list[str] = []
         self.pieces: list[StratumPiece] = []
         self._variety = Ideal(self.base_ring, tower.input_relations)
+        # one Ideal per center, so each center's Groebner basis is computed once
+        self._centers = [Ideal(self.base_ring, center) for center in tower.steps]
         dim = self._dim(self._variety)
         if dim is None:
             raise EmptyVarietyError("input variety is empty")
@@ -238,18 +243,10 @@ class Stratification:
         for part in split_components(sing):
             self._add(part, "seed")
 
-    def _center_ideal(self, step: int) -> Ideal:
-        return Ideal(self.base_ring, self.tower.steps[step])
-
     def _rule_images(self) -> None:
-        for s in range(len(self.tower.steps)):
-            self._add(self._center_ideal(s), "images", step=s)
+        for s, center in enumerate(self._centers):
+            self._add(center, "images", step=s)
         for s, candidate in self._jump_candidates():
-            center = self._center_ideal(s)
-            d_center = self._dim(center)
-            d_cand = self._dim(candidate)
-            if d_cand is None or d_center is None or d_cand >= d_center:
-                continue
             self._add(candidate, "images", step=s, note="fiber jump")
 
     def _rule_fibers(self) -> None:
@@ -268,13 +265,12 @@ class Stratification:
             if det.is_constant():
                 continue
             self._add(
-                self._center_ideal(s).plus([det]), "fibers", step=s, note="rank drop"
+                self._centers[s].plus([det]), "fibers", step=s, note="rank drop"
             )
 
     def _rule_singular_images(self) -> None:
-        n = len(self.tower.steps)
-        for s in range(n):
-            center = self._center_ideal(s)
+        n = len(self._centers)
+        for s, center in enumerate(self._centers):
             try:
                 sing = singular_locus(center)
             except CompleteIntersectionError:
@@ -287,7 +283,7 @@ class Stratification:
                 self._add(sing, "singular_images", step=s, note="singular center image")
         for s in range(n):
             for u in range(s + 1, n):
-                meet = self._center_ideal(s).plus(self._center_ideal(u))
+                meet = self._centers[s].plus(self._centers[u])
                 self._add(meet, "singular_images", step=s, note=f"meets step {u + 1}")
 
     # -- fiber-dimension jump candidates ------------------------------------------
@@ -306,10 +302,22 @@ class Stratification:
         return {n: k for n, k in out.items() if n in chart.ring.names}
 
     def _jump_candidates(self) -> list[tuple[int, Ideal]]:
+        """(step, locus) pairs where the fiber dimension over a center jumps.
+
+        A candidate is the center plus a leading coefficient, so it lies in
+        the center, and it is kept only when its dimension is below the
+        center's. Over a center of dimension 0 or less no candidate can be
+        kept, so the ratio variables of such a step are never eliminated.
+        """
         found: dict = {}
         base = self.base_ring
+        center_dims = [self._dim(center) for center in self._centers]
         for chart in self.tower.nonempty_leaves():
-            var_step = self._new_variables_by_step(chart)
+            var_step = {
+                v: s
+                for v, s in self._new_variables_by_step(chart).items()
+                if center_dims[s] is not None and center_dims[s] > 0
+            }
             if not var_step:
                 continue
             graph, rename = graph_ideal(chart, chart.relations.gens, base)
@@ -324,8 +332,13 @@ class Stratification:
                     if lc.is_constant():
                         continue
                     lc_base = lc.substitute(rename, base)
-                    candidate = self._center_ideal(s).plus([lc_base])
-                    found.setdefault(candidate.canonical_key(), (s, candidate))
+                    candidate = self._centers[s].plus([lc_base])
+                    key = candidate.canonical_key()
+                    if key in found:
+                        continue
+                    d = self._dim(candidate)
+                    if d is not None and d < center_dims[s]:
+                        found[key] = (s, candidate)
         return sorted(found.values(), key=lambda t: (t[0], str(t[1].canonical_key())))
 
     @staticmethod

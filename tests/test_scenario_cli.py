@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from singpair.blowup import ResolutionTower
 from singpair.cli import main
 from singpair.errors import ScenarioError
 from singpair.scenario import Workspace, parse_scenario, validate_scenario
@@ -147,6 +148,24 @@ class TestWorkspace:
         ws = Workspace(parse_scenario(CORPUS / "smooth_blowup_plane.scn"))
         assert ws.tower(prefix=0).steps == []
         assert len(ws.tower().steps) == 1
+
+    @pytest.mark.parametrize("order", [(1, None), (None, 1)])
+    def test_each_step_is_blown_up_once(self, monkeypatch, order):
+        blow_up = ResolutionTower.blow_up
+        calls = []
+
+        def counting_blow_up(tower, center):
+            calls.append(len(tower.steps))
+            blow_up(tower, center)
+
+        monkeypatch.setattr(ResolutionTower, "blow_up", counting_blow_up)
+        sc = parse_scenario(CORPUS / "tower_extension.scn")
+        ws = Workspace(sc)
+        towers = {prefix: ws.tower(prefix) for prefix in order}
+        assert sorted(calls) == [0, 1]
+        assert towers[1].steps == [sc.steps[0][1]]
+        assert towers[None].steps == [gens for _, gens in sc.steps]
+        assert len(towers[1].leaves) == 3 and len(towers[None].leaves) == 12
 
 
 class TestCommandLine:

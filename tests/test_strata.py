@@ -1,12 +1,16 @@
 """Stratifications induced by blowup towers, checked against hand expansions."""
 
+from pathlib import Path
+
 import pytest
 
-from singpair.blowup import ResolutionTower
+from singpair.blowup import ResolutionTower, graph_ideal
 from singpair.ideals import Ideal
 from singpair.polyring import PolynomialRing
+from singpair.scenario import Workspace, parse_scenario
 from singpair.strata import PRESETS, Stratification, split_components
 
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "singpair" / "corpus"
 CONE = PolynomialRing(("x", "y", "z", "t"))
 
 
@@ -162,3 +166,157 @@ class TestUserPieces:
         strat = Stratification(tower, rules=("images",), user_pieces=(piece,))
         assert not any("does not lie" in w for w in strat.warnings)
         assert any(same_variety(p, piece) for p in strat.level(3))
+
+
+# -- fiber-jump loci ------------------------------------------------------------
+
+
+class ReferenceStratification(Stratification):
+    """The images rule as it was before point centers were skipped.
+
+    Every ratio variable of every step is eliminated, a new center Ideal is
+    built for every use, and the dimension filter runs after deduplication.
+    """
+
+    def _reference_center(self, step: int) -> Ideal:
+        return Ideal(self.base_ring, self.tower.steps[step])
+
+    def _rule_images(self) -> None:
+        for s in range(len(self.tower.steps)):
+            self._add(self._reference_center(s), "images", step=s)
+        for s, candidate in self._jump_candidates():
+            center = self._reference_center(s)
+            d_center = self._dim(center)
+            d_cand = self._dim(candidate)
+            if d_cand is None or d_center is None or d_cand >= d_center:
+                continue
+            self._add(candidate, "images", step=s, note="fiber jump")
+
+    def _jump_candidates(self) -> list[tuple[int, Ideal]]:
+        found: dict = {}
+        base = self.base_ring
+        for chart in self.tower.nonempty_leaves():
+            var_step = self._new_variables_by_step(chart)
+            if not var_step:
+                continue
+            graph, rename = graph_ideal(chart, chart.relations.gens, base)
+            for v, s in sorted(var_step.items()):
+                drop_vars = set(chart.ring.names) - {v}
+                elim = graph.eliminate(drop_vars)
+                for g in elim.gens:
+                    d = g.degree_in(v)
+                    if d < 1:
+                        continue
+                    lc = self._leading_coefficient_in(g, v)
+                    if lc.is_constant():
+                        continue
+                    lc_base = lc.substitute(rename, base)
+                    candidate = self._reference_center(s).plus([lc_base])
+                    found.setdefault(candidate.canonical_key(), (s, candidate))
+        return sorted(found.values(), key=lambda t: (t[0], str(t[1].canonical_key())))
+
+
+UMBRELLA = PolynomialRing(("x", "y", "t"))
+
+
+def umbrella_tower(with_point: bool = False) -> ResolutionTower:
+    """The Whitney umbrella x^2 = t*y^2 blown up along its double line."""
+    r = UMBRELLA
+    tower = ResolutionTower.affine(r, (r.parse("x^2 - t*y^2"),))
+    tower.blow_up((r.var("x"), r.var("y")))
+    if with_point:
+        tower.blow_up((r.var("x"), r.parse("y - 1"), r.parse("t - 1")))
+    return tower
+
+
+def quadric_fourfold_tower() -> ResolutionTower:
+    """x*y = z*t in A^4 blown up along the plane x = y = z."""
+    r = PolynomialRing(("x", "y", "z", "t"))
+    tower = ResolutionTower.affine(r, (r.parse("x*y - z*t"),))
+    tower.blow_up((r.var("x"), r.var("y"), r.var("z")))
+    return tower
+
+
+def prefixes(tower: ResolutionTower) -> list[ResolutionTower]:
+    """The affine tower cut after 0, 1, ... of its steps."""
+    out = [ResolutionTower.affine(tower.input_ring, tower.input_relations)]
+    for center in tower.steps:
+        out.append(out[-1].copy())
+        out[-1].blow_up(center)
+    return out
+
+
+def corpus_prefixes(name: str) -> list[ResolutionTower]:
+    ws = Workspace(parse_scenario(CORPUS / f"{name}.scn"))
+    return [ws.tower(k) for k in range(len(ws.scenario.steps) + 1)]
+
+
+EXACTNESS_CASES = {
+    **{
+        path.stem: lambda name=path.stem: corpus_prefixes(name)
+        for path in CORPUS.glob("*.scn")
+    },
+    "umbrella_then_point": lambda: prefixes(umbrella_tower(with_point=True)),
+    "quadric_fourfold": lambda: prefixes(quadric_fourfold_tower()),
+}
+
+
+class TestFiberJumps:
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+    def test_images_rule_matches_reference_at_every_prefix(self, case):
+        for tower in EXACTNESS_CASES[case]():
+            got = Stratification(tower, rules=("images",)).describe()
+            want = ReferenceStratification(tower, rules=("images",)).describe()
+            assert got == want, (case, len(tower.steps))
+
+    def test_umbrella_double_line_jumps_at_the_pinch_point(self):
+        strat = Stratification(umbrella_tower(), rules=("images",))
+        jumps = [p for p in strat.describe()["pieces"] if p["note"] == "fiber jump"]
+        assert jumps == [
+            {
+                "level": 2,
+                "rule": "images",
+                "step": 1,
+                "note": "fiber jump",
+                "generators": ["t", "y", "x"],
+            }
+        ]
+
+    def test_quadric_fourfold_jumps_at_level_three(self):
+        strat = Stratification(quadric_fourfold_tower(), rules=("images",))
+        jumps = [p for p in strat.pieces if p.note == "fiber jump"]
+        assert len(jumps) == 1
+        assert jumps[0].level == 3 and jumps[0].step == 0
+        assert same_variety(jumps[0].ideal, Ideal.parse(strat.base_ring, "x; y; z; t"))
+
+    @pytest.mark.parametrize(
+        "name, prefix, expected",
+        [
+            ("tower_extension", None, 6),
+            ("tower_extension", 1, 6),
+            ("smooth_blowup_plane", None, 0),  # its only center is a point
+        ],
+    )
+    def test_point_centers_are_not_eliminated_over(self, monkeypatch, name, prefix, expected):
+        ws = Workspace(parse_scenario(CORPUS / f"{name}.scn"))
+        tower = ws.tower(prefix)
+        counted = {"inside": False, "eliminations": 0}
+        eliminate = Ideal.eliminate
+        jump_candidates = Stratification._jump_candidates
+
+        def counting_eliminate(ideal, drop):
+            if counted["inside"]:
+                counted["eliminations"] += 1
+            return eliminate(ideal, drop)
+
+        def flagged_jump_candidates(strat):
+            counted["inside"] = True
+            try:
+                return jump_candidates(strat)
+            finally:
+                counted["inside"] = False
+
+        monkeypatch.setattr(Ideal, "eliminate", counting_eliminate)
+        monkeypatch.setattr(Stratification, "_jump_candidates", flagged_jump_candidates)
+        Stratification(tower, rules=("images",))
+        assert counted["eliminations"] == expected
