@@ -18,7 +18,7 @@ from .errors import (
     SmoothnessError,
 )
 from .polyring import MonomialOrder, Polynomial, PolynomialRing, parse_polynomial
-from .ideals import DEFAULT_BUDGET, Ideal, reduction_budget, set_default_budget
+from .ideals import DEFAULT_BUDGET, Ideal, reduction_budget
 from .blowup import Chart, ResolutionTower
 from .strata import PRESETS, RULES, Stratification
 from .cycles import (
@@ -72,7 +72,6 @@ __all__ = [
     "parse_scenario",
     "perversity_check",
     "pushforward",
-    "set_default_budget",
     "transform_cycle",
     "validate_scenario",
     "__version__",

@@ -17,7 +17,6 @@ from .blowup import blowdown_image, proper_transform
 from .errors import PerversityError
 from .factor import factor, rational_roots
 from .ideals import Ideal
-from .polyring import PolynomialRing
 from .strata import Stratification, split_components
 
 
@@ -110,9 +109,6 @@ class CycleFamily:
         if self.param not in self.total.ring.names:
             raise ValueError(f"parameter {self.param!r} is not a variable of {self.total.ring}")
         object.__setattr__(self, "marked", tuple(Fraction(v) for v in self.marked))
-
-    def base_ring(self) -> PolynomialRing:
-        return PolynomialRing(tuple(n for n in self.total.ring.names if n != self.param))
 
     def fiber(self, value) -> Ideal:
         cut = self.total.ring.var(self.param) - Fraction(value)

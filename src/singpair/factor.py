@@ -1,11 +1,16 @@
 """Polynomial factorization over the rationals in small degree.
 
-Univariate factorization is modular: Berlekamp over a small prime, Hensel
-lifting to a Mignotte-sized modulus, then subset recombination (Zassenhaus).
-Bivariate polynomials are factored by lifting a univariate factorization
-along a generic line y = c. Trivariate polynomials are packed into bivariate
-ones by exponent encoding; candidate factors are unpacked and verified by
-exact division, which keeps the method sound and complete.
+Univariate factorization is modular: the input is reduced to its squarefree
+part f / gcd(f, f') once, factored by Berlekamp over a small prime p, Hensel
+lifted to a Mignotte-sized modulus p^k, then recombined by subsets
+(Zassenhaus). One dense kernel (_p_mul, _p_add, _p_sub, _p_divmod) serves
+the Berlekamp prime and the Hensel modulus p^k alike: every divisor mod
+p^k is monic, so no inverse other than 1 is needed there. Multiplicities
+are recovered by trial division. Bivariate polynomials are factored by
+lifting a univariate factorization along a generic line y = c. Trivariate
+polynomials are packed into bivariate ones by exponent encoding; candidate
+factors are unpacked and verified by exact division, which keeps the method
+sound and complete.
 
 Public entry points enforce the supported scope (univariate degree <= 8,
 multivariate total degree <= 4 in <= 3 variables) and raise FactorScopeError
@@ -20,7 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd as int_gcd
 
-from .errors import FactorScopeError
+from .errors import ExactDivisionError, FactorScopeError
 from .polyring import Polynomial, PolynomialRing
 
 UNIVARIATE_CAP = 8
@@ -149,7 +154,7 @@ def _int_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]
     return _trim(q), r
 
 
-# -- arithmetic mod a prime p -------------------------------------------------
+# -- arithmetic mod p, or mod p^k for a monic divisor -------------------------
 
 
 def _p_norm(a: list[int], p: int) -> list[int]:
@@ -167,10 +172,19 @@ def _p_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim(out)
 
 
+def _p_add(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x % p
+    for i, y in enumerate(b):
+        out[i] = (out[i] + y) % p
+    return _trim(out)
+
+
 def _p_sub(a: list[int], b: list[int], p: int) -> list[int]:
     out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
-        out[i] = x
+        out[i] = x % p
     for i, y in enumerate(b):
         out[i] = (out[i] - y) % p
     return _trim(out)
@@ -325,50 +339,6 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
 # -- Hensel lifting over Z/p^(2^j) --------------------------------------------
 
 
-def _m_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _trim(out)
-
-
-def _m_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % m
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % m
-    return _trim(out)
-
-
-def _m_add(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % m
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % m
-    return _trim(out)
-
-
-def _m_divmod_monic(a: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    assert g and g[-1] == 1
-    q = [0] * max(len(a) - len(g) + 1, 0)
-    r = [c % m for c in a]
-    _trim(r)
-    while len(r) >= len(g) and r:
-        c = r[-1]
-        k = len(r) - len(g)
-        q[k] = c
-        for i, y in enumerate(g):
-            r[k + i] = (r[k + i] - c * y) % m
-        _trim(r)
-    return _trim(q), r
-
-
 def _hensel_pair(
     f: list[int], g: list[int], h: list[int], s: list[int], t: list[int], p: int, target: int
 ) -> tuple[list[int], list[int]]:
@@ -376,14 +346,14 @@ def _hensel_pair(
     m = p
     while m < target:
         m = m * m
-        e = _m_sub([c % m for c in f], _m_mul(g, h, m), m)
-        q, r = _m_divmod_monic(_m_mul(s, e, m), h, m)
-        g = _m_add(g, _m_add(_m_mul(t, e, m), _m_mul(q, g, m), m), m)
-        h = _m_add(h, r, m)
-        b = _m_sub(_m_add(_m_mul(s, g, m), _m_mul(t, h, m), m), [1], m)
-        c, d = _m_divmod_monic(_m_mul(s, b, m), h, m)
-        s = _m_sub(s, d, m)
-        t = _m_sub(t, _m_add(_m_mul(t, b, m), _m_mul(c, g, m), m), m)
+        e = _p_sub(f, _p_mul(g, h, m), m)
+        q, r = _p_divmod(_p_mul(s, e, m), h, m)
+        g = _p_add(g, _p_add(_p_mul(t, e, m), _p_mul(q, g, m), m), m)
+        h = _p_add(h, r, m)
+        b = _p_sub(_p_add(_p_mul(s, g, m), _p_mul(t, h, m), m), [1], m)
+        c, d = _p_divmod(_p_mul(s, b, m), h, m)
+        s = _p_sub(s, d, m)
+        t = _p_sub(t, _p_add(_p_mul(t, b, m), _p_mul(c, g, m), m), m)
     return g, h
 
 
@@ -442,7 +412,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
         for subset in itertools.combinations(pool, size):
             prod = [1]
             for i in subset:
-                prod = _m_mul(prod, lifted[i], target)
+                prod = _p_mul(prod, lifted[i], target)
             cand = _symmetric(prod, target)
             q, r = _int_divmod_monic(fcur, cand)
             if not r:
@@ -461,26 +431,6 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
         scaled = [g[i] * lc ** i for i in range(len(g))]
         _, prim = _int_primitive([Fraction(c) for c in scaled])
         out.append(prim)
-    return out
-
-
-def _yun_squarefree(f: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Squarefree decomposition f = prod p_i^i over Q (f nonconstant)."""
-    fp = _q_deriv(f)
-    g = _q_gcd(f, fp)
-    if _deg(g) == 0:
-        return [(f, 1)]
-    c_part = _q_divmod(f, g)[0]
-    d_part = _q_sub(_q_divmod(fp, g)[0], _q_deriv(c_part))
-    out = []
-    i = 1
-    while _deg(c_part) > 0:
-        h = _q_gcd(c_part, d_part)
-        if _deg(h) > 0:
-            out.append((h, i))
-        c_part = _q_divmod(c_part, h)[0]
-        d_part = _q_sub(_q_divmod(d_part, h)[0], _q_deriv(c_part))
-        i += 1
     return out
 
 
@@ -508,14 +458,10 @@ def _from_dense(coeffs: list, ring: PolynomialRing, name: str) -> Polynomial:
 
 
 def _factor_univariate(f: Polynomial, name: str) -> set[Polynomial]:
+    """Monic irreducible factors of f; multiplicities are left to trial division."""
     dense = _to_dense(f, name)
-    _, prim = _int_primitive(dense)
-    out: set[Polynomial] = set()
-    for piece, _mult in _yun_squarefree([Fraction(c) for c in prim]):
-        _, piece_int = _int_primitive(piece)
-        for irr in _zassenhaus(piece_int):
-            out.add(_from_dense(irr, f.ring, name).monic())
-    return out
+    _, sqfree = _int_primitive(_q_divmod(dense, _q_gcd(dense, _q_deriv(dense)))[0])
+    return {_from_dense(irr, f.ring, name).monic() for irr in _zassenhaus(sqfree)}
 
 
 def _x_coeffs(f: Polynomial, name: str) -> list[Polynomial]:
@@ -567,9 +513,10 @@ def _poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _pseudo_rem(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
-    df, dg = f.degree_in(name), g.degree_in(name)
+    """lc(g)^k * f mod g in name, k the number of steps; only its primitive part is used."""
+    dg = g.degree_in(name)
     lc_g = _x_coeffs(g, name)[dg]
-    r = f * lc_g ** (df - dg + 1)
+    r = f
     x = f.ring.var(name)
     while not r.is_zero() and r.degree_in(name) >= dg:
         dr = r.degree_in(name)
@@ -707,7 +654,7 @@ def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | No
                 cand = _trunc(cand * lifted[i], uname, K)
             try:
                 Fhat.exact_div(cand)
-            except Exception:
+            except ExactDivisionError:
                 continue
             # map back: x -> L*x, strip content in u, undo the translation
             raw = cand.substitute({xname: L * x}, ring)
@@ -722,11 +669,6 @@ def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | No
 
 
 # -- irreducible-candidate recursion ------------------------------------------
-
-
-def _kronecker_pack(g: Polynomial, bname: str, cname: str, D: int) -> Polynomial:
-    ring = g.ring
-    return g.substitute({cname: ring.var(bname) ** D}, ring)
 
 
 def _kronecker_unpack(h: Polynomial, bname: str, cname: str, D: int) -> Polynomial:
@@ -778,7 +720,7 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
     # three variables: pack the last into the middle one, factor, unpack subsets
     bname, cname = used[1], used[2]
     D = g.total_degree() + 1
-    image = _kronecker_pack(g, bname, cname, D)
+    image = g.substitute({cname: ring.var(bname) ** D}, ring)
     _, image_factors = _factor_in_ring(image)
     expanded: list[Polynomial] = []
     for fac, mult in image_factors:
@@ -812,7 +754,7 @@ def _factor_in_ring(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int
         while True:
             try:
                 work = work.exact_div(cand)
-            except Exception:
+            except ExactDivisionError:
                 break
             mult += 1
         if mult:

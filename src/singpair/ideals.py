@@ -81,13 +81,6 @@ def reduction_budget(limit: int) -> Iterator[_Meter]:
         _active_meter.reset(token)
 
 
-def set_default_budget(limit: int) -> None:
-    global DEFAULT_BUDGET
-    if limit <= 0:
-        raise ValueError("budget must be positive")
-    DEFAULT_BUDGET = limit
-
-
 def _charge() -> None:
     meter = _active_meter.get()
     if meter is not None:
@@ -204,13 +197,13 @@ def _share_storage(basis: list[Polynomial]) -> tuple[Polynomial, ...]:
     )
 
 
-def groebner(gens: Sequence[Polynomial], *, budget: int | None = None) -> tuple[Polynomial, ...]:
+def groebner(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis (monic, interreduced, ascending leading terms)."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
     if _active_meter.get() is None:
-        with reduction_budget(budget if budget is not None else DEFAULT_BUDGET):
+        with reduction_budget(DEFAULT_BUDGET):
             return _buchberger(gens)
     return _buchberger(gens)
 
@@ -337,9 +330,6 @@ class Ideal:
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
-
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
 
     def is_trivial(self) -> bool:
         gb = self.groebner()
@@ -478,9 +468,6 @@ class Ideal:
 
     def codimension(self) -> int:
         return self.ring.nvars - self.krull_dimension()
-
-    def is_zero_dimensional(self) -> bool:
-        return self.dimension_or_none() == 0
 
     def vector_space_dimension(self) -> int:
         """dim over QQ of ring/ideal; requires a finite staircase."""

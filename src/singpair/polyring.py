@@ -255,10 +255,6 @@ class Polynomial:
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
-    def leading_term(self) -> "Polynomial":
-        lm = self.leading_monomial()
-        return Polynomial(self.ring, {lm: self.terms[lm]})
-
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self

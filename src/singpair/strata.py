@@ -44,22 +44,24 @@ PRESETS = {
 
 RULES = ("images", "fibers", "singular_images", "components")
 
+SPLIT_LIMIT = 64
 
-def split_components(ideal: Ideal, limit: int = 64) -> list[Ideal]:
+
+def split_components(ideal: Ideal) -> list[Ideal]:
     """Split an ideal by factoring generators; same zero set, more pieces.
 
     Not a primary decomposition. A generator that factors turns the ideal
     into one branch per irreducible factor (multiplicities dropped, so each
     branch is closer to radical). Branches are reduced, deduplicated, and
-    pieces contained in another piece are removed. On scope or branch-count
-    overflow the ideal is returned unsplit.
+    pieces contained in another piece are removed. On scope overflow, or past
+    SPLIT_LIMIT branches, the ideal is returned unsplit.
     """
     if ideal.is_trivial():
         return []
     done: list[Ideal] = []
     queue = [ideal]
     while queue:
-        if len(queue) + len(done) > limit:
+        if len(queue) + len(done) > SPLIT_LIMIT:
             return [ideal]
         current = queue.pop()
         gb = current.groebner()

@@ -50,6 +50,11 @@ def test_multiplicities():
     const, factors = factor(R1.parse("(x - 1)^2 * (x + 2)^3"))
     assert const == 1
     assert _as_set(factors) == {("x - 1", 2), ("x + 2", 3)}
+    # degree 11, past the univariate cap, so relaxed like the internal callers
+    f = R1.parse("(x^2 - 2)^2 * (x^2 + 1)^3 * (x - 3)")
+    const, factors = factor(f, relax_scope=True)
+    assert const == 1
+    assert _as_set(factors) == {("x^2 - 2", 2), ("x^2 + 1", 3), ("x - 3", 1)}
 
 
 def test_content_and_leading_constant():
@@ -63,8 +68,11 @@ def test_content_and_leading_constant():
 def test_univariate_scope_gate():
     with pytest.raises(FactorScopeError):
         factor(R1.parse("x^9 + x + 1"))
-    # degree exactly 8 is allowed
-    factor(R1.parse("x^8 - 1"))
+    # degree exactly 8 is allowed; x^4 + 1 splits modulo every prime, so its
+    # factor is found only by lifting to p^k and recombining
+    const, factors = factor(R1.parse("x^8 - 1"))
+    assert const == 1
+    assert _as_set(factors) == {("x - 1", 1), ("x + 1", 1), ("x^2 + 1", 1), ("x^4 + 1", 1)}
 
 
 def test_bivariate_split_and_irreducible():
@@ -91,6 +99,19 @@ def test_trivariate_products():
     assert _as_set(factors) == {("z", 1), ("x + y", 1)}
     const, factors = factor(R3.parse("(x + y + z)*(x - y)"))
     assert _as_set(factors) == {("x + y + z", 1), ("x - y", 1)}
+    # the product uses three variables, so its factors come through the packing
+    const, factors = factor(R3.parse("(x + y*z)^2 * (x - z)"), relax_scope=True)
+    assert const == 1
+    assert _as_set(factors) == {("y*z + x", 2), ("x - z", 1)}
+
+
+def test_trivariate_gcd_keeps_coefficients_small():
+    # the squarefree test gcd(f, df/dx) on this quartic ran out of memory when
+    # each pseudo-remainder carried an extra power of the leading coefficient
+    f = R3.parse("16*x^4 + 32*x^3*y - 12*x^3 - 24*x^2*y - 8*x^2*z + 2*x^2 + 4*x*y + 6*x*z - z")
+    const, factors = factor(f)
+    assert const == 16
+    assert _as_set(factors) == {("x - 1/2", 1), ("x - 1/4", 1), ("x^2 + 2*x*y - 1/2*z", 1)}
 
 
 def test_trivariate_irreducible_quadric():
