@@ -681,7 +681,8 @@ def _kronecker_unpack(h: Polynomial, bname: str, cname: str, D: int) -> Polynomi
         new[ib] = E % D
         new[ic] = E // D
         key = tuple(new)
-        terms[key] = terms.get(key, Fraction(0)) + c
+        old = terms.get(key)
+        terms[key] = c if old is None else old + c
     return Polynomial(ring, terms)
 
 

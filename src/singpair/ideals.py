@@ -19,9 +19,15 @@ lcm order strays into high degrees, the smallest sugar goes first and the
 lcm breaks ties: sugar is the degree the S-polynomial would have if every
 input were homogenized (Giovini, Mora, Niesi, Robbiano, Traverso, "One
 sugar cube, please", ISSAC 1991). The strategy changes only the path, not
-the reduced basis, which is unique. Reduced bases
-store each distinct exponent tuple and coefficient once, shared within the
-basis and with recently built bases, which keeps bases cheap to hold on to.
+the reduced basis, which is unique.
+
+Interreduction (of the input, and of the final basis) divides an element by
+the others only when another element's leading monomial divides one of its
+terms. An element that is already reduced is kept as it is: division would
+return it unchanged and charge nothing. The bases groebner() returns store
+each distinct exponent tuple and coefficient once, shared within the basis
+and with recently built bases, which keeps bases cheap to hold on to. The
+interreduced input is used once inside the kernel and is not shared.
 """
 
 from __future__ import annotations
@@ -154,26 +160,47 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _interreduce(polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+    """Monic, each element divided by the others until a pass changes
+    nothing, sorted by ascending leading monomial.
+
+    An element none of whose terms another element's leading monomial
+    divides is kept without dividing: normal_form would charge nothing and
+    return its terms unchanged, in descending order, or the element itself
+    when there are no others. Only first-pass elements can be out of that
+    order; a later pass sees normal_form's output, first-pass elements put
+    in order, or a lone element.
+    """
     basis = [p.monic() for p in polys if not p.is_zero()]
+    first = True
     changed = True
     while changed:
         changed = False
         out: list[Polynomial] = []
         for i, p in enumerate(basis):
             others = out + basis[i + 1 :]
-            q = normal_form(p, others)
-            if q.is_zero():
-                changed = True
+            lead = [g.leading_monomial() for g in others]
+            if not any(exp_divides(m, e) for e in p.terms for m in lead):
+                out.append(_descending(p) if first and others else p)
                 continue
-            q = q.monic()
-            if q != p:
-                changed = True
-            out.append(q)
+            # some term is divisible, so the remainder differs from p
+            changed = True
+            q = normal_form(p, others)
+            if not q.is_zero():
+                out.append(q.monic())
         basis = out
+        first = False
     if basis:
         key = basis[0].ring.order.sort_key
         basis.sort(key=lambda g: key(g.leading_monomial()))
-    return _share_storage(basis)
+    return tuple(basis)
+
+
+def _descending(p: Polynomial) -> Polynomial:
+    """p with its terms in descending order, as normal_form builds them."""
+    order = sorted(p.terms, key=p.ring.order.descending_key)
+    if order == list(p.terms):
+        return p
+    return Polynomial(p.ring, {e: p.terms[e] for e in order})
 
 
 # Exponent tuples and coefficients of recent reduced bases, by value. Bases
@@ -186,7 +213,7 @@ _POOL_LIMIT = 4096
 _pool: dict = {}
 
 
-def _share_storage(basis: list[Polynomial]) -> tuple[Polynomial, ...]:
+def _share_storage(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """The same polynomials, with equal exponent tuples and equal coefficients
     stored once, within the basis and with recent bases."""
     if len(_pool) > _POOL_LIMIT:
@@ -204,8 +231,8 @@ def groebner(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
         return ()
     if _active_meter.get() is None:
         with reduction_budget(DEFAULT_BUDGET):
-            return _buchberger(gens)
-    return _buchberger(gens)
+            return _share_storage(_buchberger(gens))
+    return _share_storage(_buchberger(gens))
 
 
 def _buchberger(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
@@ -214,7 +241,7 @@ def _buchberger(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
     key = ring.order.sort_key
-    basis = [g.monic() for g in _interreduce(gens)]
+    basis = list(_interreduce(gens))
     if any(g.is_constant() for g in basis):
         return (ring.one(),)
     lead = [g.leading_monomial() for g in basis]

@@ -275,11 +275,15 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
+            old = terms.get(e)
+            if old is None:
+                terms[e] = c
             else:
-                terms[e] = s
+                s = old + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -306,11 +310,15 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exp_add(e1, e2)
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
+                old = terms.get(e)
+                if old is None:
+                    terms[e] = c1 * c2
                 else:
-                    terms[e] = s
+                    s = old + c1 * c2
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -318,15 +326,20 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
+        if exponent == 0:
+            return self.ring.one()
+        # square-and-multiply from the lowest bit; the first factor is taken
+        # as it is and the base is squared only while higher bits remain
+        result = None
         base = self
         n = exponent
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Quotient self/other when the division is exact."""
@@ -415,11 +428,15 @@ class Polynomial:
                 if k:
                     piece = piece * power(self.ring.names[i], k)
             for m, v in piece.terms.items():
-                s = out.get(m, 0) + v
-                if s == 0:
-                    del out[m]
+                old = out.get(m)
+                if old is None:
+                    out[m] = v
                 else:
-                    out[m] = s
+                    s = old + v
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
         return Polynomial(ring, out)
 
     def in_ring(self, ring: PolynomialRing) -> "Polynomial":
@@ -455,19 +472,12 @@ class Polynomial:
 
     def differentiate(self, name: str) -> "Polynomial":
         i = self.ring.index(name)
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            new = list(e)
-            new[i] -= 1
-            key = tuple(new)
-            s = terms.get(key, Fraction(0)) + c * e[i]
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Polynomial(self.ring, terms)
+        # lowering exponent i is one to one on the terms that have it, so no
+        # two terms meet and nothing cancels
+        return Polynomial(
+            self.ring,
+            {(*e[:i], e[i] - 1, *e[i + 1 :]): c * e[i] for e, c in self.terms.items() if e[i]},
+        )
 
     def homogenize(self, ring: PolynomialRing, var: str) -> "Polynomial":
         """Homogenize with respect to var, writing the result in ring."""

@@ -9,12 +9,19 @@ contained in another piece at the same level are absorbed.
 
 Rules:
 
-  images           center images, plus loci where the fiber dimension of the
-                   resolution jumps (leading-coefficient loci of chart
-                   eliminants over the base). A jump locus is a proper
-                   closed subset of its center, so it is sought only over
-                   centers of positive dimension: over a point nothing
-                   smaller is left, and no elimination is run.
+  images           center images, plus the loci over which the exceptional
+                   divisor E -> C of a step is not flat or branches: where
+                   the leading coefficient, in a new ratio variable, of a
+                   chart eliminant over the base vanishes on the center.
+                   There the fiber dimension may jump, but the fibers may
+                   also stay finite and change. On the Whitney umbrella
+                   x^2 = t*y^2 blown up along its double line the fibers
+                   are two points over t != 0 and one double point over
+                   the pinch point t = 0, and the pinch point is flagged.
+                   Such a locus is a proper closed subset of its center,
+                   so it is sought only over centers of positive
+                   dimension: over a point nothing smaller is left, and no
+                   elimination is run.
   fibers           degeneration loci of the quadratic cone transverse to a
                    coordinate-like center (rank drop of the induced form)
   singular_images  singular loci of the center images, and pairwise
@@ -304,7 +311,7 @@ class Stratification:
         return {n: k for n, k in out.items() if n in chart.ring.names}
 
     def _jump_candidates(self) -> list[tuple[int, Ideal]]:
-        """(step, locus) pairs where the fiber dimension over a center jumps.
+        """(step, locus) pairs over which E -> C is not flat or branches.
 
         A candidate is the center plus a leading coefficient, so it lies in
         the center, and it is kept only when its dimension is below the

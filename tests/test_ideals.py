@@ -481,3 +481,90 @@ def test_storage_pool_is_emptied_once_full(monkeypatch):
     assert len(ideals._pool) == 6  # three exponent tuples, three coefficients
     ideals._share_storage([R3.parse("z + 5")])
     assert len(ideals._pool) == 4  # over the limit, so emptied before this basis
+
+
+def reference_interreduce(polys):
+    """Interreduction that divides every element by the others in every pass
+    until a pass changes nothing; returns the basis and the number of passes."""
+    basis = [p.monic() for p in polys if not p.is_zero()]
+    passes = 0
+    changed = True
+    while changed:
+        passes += 1
+        changed = False
+        out = []
+        for i, p in enumerate(basis):
+            q = normal_form(p, out + basis[i + 1 :])
+            if q.is_zero():
+                changed = True
+                continue
+            q = q.monic()
+            if q != p:
+                changed = True
+            out.append(q)
+        basis = out
+    if basis:
+        key = basis[0].ring.order.sort_key
+        basis.sort(key=lambda g: key(g.leading_monomial()))
+    return tuple(basis), passes
+
+
+def shuffled_terms(rng, p):
+    """p scaled by a constant, its terms in a random insertion order."""
+    items = list(p.terms.items())
+    rng.shuffle(items)
+    scale = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+    return Polynomial(p.ring, {e: c * scale for e, c in items})
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_interreduce_matches_fixpoint_reference(order):
+    rng = random.Random(f"interreduce-{order}")
+    ring = PolynomialRing(("a", "b", "c", "d"), order)
+    small = PolynomialRing(("a", "b", "c"), order)
+    cases = []
+    for _ in range(60):
+        cases.append([random_poly(rng, ring, rng.randint(1, 6), 3) for _ in range(rng.randint(1, 5))])
+    for _ in range(20):
+        # already reduced: a reduced basis, rescaled, its terms out of order
+        gb = groebner([random_poly(rng, small, rng.randint(1, 4), 2) for _ in range(3)])
+        cases.append([shuffled_terms(rng, g.in_ring(ring)) for g in gb])
+    for _ in range(20):
+        # an element that another one reduces to zero, and a repeated element
+        f, g = (random_poly(rng, ring, rng.randint(2, 4), 2) for _ in range(2))
+        if not f.is_zero():
+            cases.append([shuffled_terms(rng, f * g), shuffled_terms(rng, f)])
+            cases.append([f, shuffled_terms(rng, f), g])
+    seen_passes = set()
+    steps = 0
+    for polys in cases:
+        with reduction_budget(10**6) as new_meter:
+            got = _interreduce(polys)
+        with reduction_budget(10**6) as old_meter:
+            want, passes = reference_interreduce(polys)
+        assert got == want
+        assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+        assert new_meter.used == old_meter.used
+        seen_passes.add(passes)
+        steps += old_meter.used
+    assert {1, 2, 3} <= seen_passes
+    assert steps > 100
+
+
+def test_groebner_returns_shared_storage():
+    # the storage pool is applied to the basis groebner() returns, also to
+    # the unit ideal's basis and to an input that is already reduced
+    rng = random.Random("shared")
+    for gens in (cyclic(4)[1], [R3.parse("x + 1"), R3.parse("x - 1")], [R3.parse("x^2 - y*z")]):
+        ideals._pool.clear()
+        for g in groebner(gens):
+            for e, c in g.terms.items():
+                assert ideals._pool[e] is e and ideals._pool[c] is c
+    ring = PolynomialRing(("a", "b", "c"), MonomialOrder.lex())
+    gens = [random_poly(rng, ring, 3, 2) for _ in range(3)]
+    first = groebner(gens)
+    again = groebner(list(reversed(gens)))
+    assert again == first
+    for g, h in zip(first, again):
+        assert all(e is f for e, f in zip(g.terms, h.terms))
+        assert all(c is d for c, d in zip(g.terms.values(), h.terms.values()))

@@ -175,3 +175,120 @@ def test_constant_handling():
     assert R.parse("7/2").constant_value() == Fraction(7, 2)
     assert str(R.zero()) == "0"
     assert str(R.parse("-x - 3")) == "-x - 3"
+
+
+# -- arithmetic against the accumulate-into-a-default-zero loops ---------------
+
+
+def reference_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        s = terms.get(e, Fraction(0)) + c
+        if s == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return Polynomial(p.ring, terms)
+
+
+def reference_mul(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return Polynomial(p.ring, terms)
+
+
+def reference_pow(p, k):
+    """Square-and-multiply from 1, squaring once more after the last bit."""
+    result, base = p.ring.one(), p
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def reference_differentiate(p, name):
+    i = p.ring.index(name)
+    terms = {}
+    for e, c in p.terms.items():
+        if e[i] == 0:
+            continue
+        new = list(e)
+        new[i] -= 1
+        key = tuple(new)
+        s = terms.get(key, Fraction(0)) + c * e[i]
+        if s == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+    return Polynomial(p.ring, terms)
+
+
+def same_terms(got, want):
+    return got == want and list(got.terms.items()) == list(want.terms.items())
+
+
+def small_poly(rng, ring):
+    # few monomials and coefficients, so sums and products often cancel
+    return Polynomial(ring, {
+        tuple(rng.randint(0, 2) for _ in ring.names): Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+        for _ in range(rng.randint(0, 5))
+    })
+
+
+def test_add_mul_differentiate_match_reference_when_terms_cancel():
+    rng = random.Random("cancel")
+    ring = PolynomialRing(("x", "y", "z"))
+    cancelled = 0
+    for _ in range(300):
+        p, q = small_poly(rng, ring), small_poly(rng, ring)
+        for a, b in ((p, q), (p, -p), (p, q - p), (p - q, p + q)):
+            total = a + b
+            assert same_terms(total, reference_add(a, b))
+            product = a * b
+            assert same_terms(product, reference_mul(a, b))
+            cancelled += len(total.terms) < len(set(a.terms) | set(b.terms))
+            for name in ring.names:
+                assert same_terms(a.differentiate(name), reference_differentiate(a, name))
+    assert cancelled > 100
+    x, y = ring.var("x"), ring.var("y")
+    assert (x - y) * (x + y) == x * x - y * y
+    assert (x + y) + (-x - y) == ring.zero()
+
+
+def test_power_matches_reference_term_for_term():
+    rng = random.Random("pow")
+    ring = PolynomialRing(("x", "y", "z"))
+    samples = [ring.zero(), ring.const(Fraction(-3, 2)), ring.one(), ring.parse("x - y + 2")]
+    samples += [small_poly(rng, ring) for _ in range(12)]
+    for p in samples:
+        repeated = ring.one()
+        for k in range(10):
+            got = p ** k
+            assert got == repeated
+            assert same_terms(got, reference_pow(p, k))
+            repeated = repeated * p
+
+
+def test_power_multiplies_only_what_it_needs(monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    p = R.parse("x - 2*y + t")
+    for k, needed in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4)]:
+        calls.clear()
+        p ** k
+        assert len(calls) == needed, k

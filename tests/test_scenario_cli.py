@@ -312,3 +312,29 @@ class TestCommandLine:
             renamed = re.sub(r"\b_b_x\b", "w", json.dumps(tagged["payload"], sort_keys=True))
             assert renamed == json.dumps(plain["payload"], sort_keys=True)
             assert tagged["counters"] == plain["counters"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_reports.json"
+
+
+def corpus_reports(folder: Path) -> str:
+    """The `run --json` reports of every bundled scenario, keyed by name and
+    without their elapsed_ms, as sorted JSON text."""
+    reports = {}
+    for path in sorted(CORPUS.glob("*.scn")):
+        out = folder / f"{path.stem}.json"
+        assert main(["run", str(path), "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["elapsed_ms"]
+        reports[path.stem] = report
+    return json.dumps(reports, indent=2, sort_keys=True) + "\n"
+
+
+def test_corpus_reports_match_golden_file(tmp_path, capsys):
+    # every payload and every per-task reduction_steps counter of the six
+    # bundled scenarios, byte for byte: a change that moves an answer or the
+    # kernel's path shows here. Rewrite the file only for an intended change:
+    #   PYTHONPATH=src:tests python -c "import pathlib, tempfile, test_scenario_cli as t; \
+    #     t.GOLDEN.write_text(t.corpus_reports(pathlib.Path(tempfile.mkdtemp())))"
+    assert corpus_reports(tmp_path) == GOLDEN.read_text()
+    capsys.readouterr()
