@@ -8,21 +8,22 @@ pivot are solved away: the variable is replaced by a ratio variable (named
 by appending p), keeping chart rings small. Unsolvable generators keep an
 explicit graph relation with a fresh ratio variable instead.
 
-Charts remember their full lineage so cycles can be transformed step by
-step, their accumulated ownership constraints (a point on a chart overlap
-is owned by the first chart that sees it; ownership means all earlier-pivot
-ratio coordinates vanish), and bindings that express the input coordinates
-in chart variables, which is what blowdown images and pushforwards use.
+Charts remember their full lineage, along which proper_transform moves
+cycles, families and each next center up the tower step by step; their
+accumulated ownership constraints (a point on a chart overlap is owned by
+the first chart that sees it; ownership means all earlier-pivot ratio
+coordinates vanish); and bindings that express the input coordinates in
+chart variables, which is what blowdown images and pushforwards use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import CenterError
-from .geometry import singular_locus
+from .geometry import dehomogenize, singular_locus
 from .ideals import Ideal, fresh_name
 from .polyring import Polynomial, PolynomialRing
 
@@ -35,7 +36,6 @@ class LineageStep:
     substitution: tuple[tuple[str, Polynomial], ...]  # eliminated variable -> value
     graph: tuple[Polynomial, ...]  # relations kept for unsolvable generators
     exceptional: Polynomial | None  # None for a pass-through step
-    ownership: tuple[Polynomial, ...]  # new first-nonzero constraints
 
     def substitution_map(self) -> dict[str, Polynomial]:
         return dict(self.substitution)
@@ -46,7 +46,6 @@ class Chart:
     name: str
     ring: PolynomialRing
     relations: Ideal  # the transformed variety, graph relations included
-    ambient_graph: tuple[Polynomial, ...]
     base_binding: tuple[tuple[str, Polynomial], ...]  # input coordinate -> value
     ownership: tuple[Polynomial, ...]
     exceptionals: tuple[Polynomial, ...]  # per actual blowup, in this ring
@@ -113,8 +112,9 @@ def proper_transform(
 
     Each blowup step rewrites the generators through the step's substitution,
     adds the step's graph relations, and saturates by the exceptional; this is
-    how cycles travel up the tower. Names in extra ride along unchanged (used
-    for a family parameter living on the base times a line).
+    how cycles, families and the centers of later blowups travel up the
+    tower. Names in extra ride along unchanged (used for a family parameter
+    living on the base times a line).
     """
     origin = dict(chart.origin_binding)
     ring0 = next(iter(origin.values())).ring
@@ -125,8 +125,7 @@ def proper_transform(
     start = dict(origin)
     if extra:
         start = {k: v.in_ring(cur) for k, v in origin.items()}
-    gens = tuple(g.substitute(start, cur) for g in ideal.gens)
-    current = Ideal(cur, tuple(g for g in gens if not g.is_zero()))
+    current = Ideal(cur, (g.substitute(start, cur) for g in ideal.gens))
     for step in chart.lineage:
         if step.exceptional is None:
             continue
@@ -219,13 +218,11 @@ def _pivot_chart(
         substitution=tuple(sorted(subs.items())),
         graph=graph_new,
         exceptional=exceptional,
-        ownership=ownership_new,
     )
     return Chart(
         name=f"{leaf.name}/{label}p{pivot}",
         ring=ring,
         relations=relations,
-        ambient_graph=tuple(carry(g) for g in leaf.ambient_graph) + graph_new,
         base_binding=tuple((n, carry(v)) for n, v in leaf.base_binding),
         ownership=tuple(carry(w) for w in leaf.ownership) + ownership_new,
         exceptionals=tuple(carry(e) for e in leaf.exceptionals) + (exceptional,),
@@ -235,20 +232,8 @@ def _pivot_chart(
 
 
 def _pass_through(leaf: Chart) -> Chart:
-    step = LineageStep(
-        ring=leaf.ring, substitution=(), graph=(), exceptional=None, ownership=()
-    )
-    return Chart(
-        name=leaf.name,
-        ring=leaf.ring,
-        relations=leaf.relations,
-        ambient_graph=leaf.ambient_graph,
-        base_binding=leaf.base_binding,
-        ownership=leaf.ownership,
-        exceptionals=leaf.exceptionals,
-        lineage=leaf.lineage + (step,),
-        origin_binding=leaf.origin_binding,
-    )
+    step = LineageStep(ring=leaf.ring, substitution=(), graph=(), exceptional=None)
+    return replace(leaf, lineage=leaf.lineage + (step,))
 
 
 class ResolutionTower:
@@ -274,7 +259,6 @@ class ResolutionTower:
             name="aff",
             ring=ring,
             relations=Ideal(ring, relations),
-            ambient_graph=(),
             base_binding=identity,
             ownership=(),
             exceptionals=(),
@@ -291,24 +275,20 @@ class ResolutionTower:
         for g in relations:
             if not g.is_homogeneous():
                 raise CenterError(f"projective relation {g} is not homogeneous")
+        whole = Ideal(ring, relations)
         leaves = []
         for i, coord in enumerate(ring.names):
-            patch_ring = PolynomialRing(tuple(n for n in ring.names if n != coord))
-            binding = {}
-            for n in ring.names:
-                binding[n] = patch_ring.one() if n == coord else patch_ring.var(n)
-            rel = tuple(
-                g.substitute({coord: 1}, patch_ring)
-                for g in relations
+            patch = dehomogenize(whole, coord)
+            patch_ring = patch.ring
+            bound = tuple(
+                (n, patch_ring.one() if n == coord else patch_ring.var(n))
+                for n in ring.names
             )
-            rel = tuple(g for g in rel if not g.is_zero())
-            bound = tuple((n, binding[n]) for n in ring.names)
             leaves.append(
                 Chart(
                     name=f"{coord}=1",
                     ring=patch_ring,
-                    relations=Ideal(patch_ring, rel),
-                    ambient_graph=(),
+                    relations=patch,
                     base_binding=bound,
                     ownership=tuple(patch_ring.var(n) for n in ring.names[:i]),
                     exceptionals=(),
@@ -326,25 +306,12 @@ class ResolutionTower:
         tower.steps = list(self.steps)
         return tower
 
-    def center_on_chart(self, leaf: Chart, center: tuple[Polynomial, ...]) -> Ideal:
-        """Transform input-coordinate center generators onto a leaf chart.
-
-        The result is the proper transform: pull back, add graph relations,
-        saturate by every exceptional so far, reduce.
-        """
-        imgs = [leaf.pull_back(g) for g in center]
-        ideal = Ideal(leaf.ring, tuple(imgs) + leaf.ambient_graph)
-        for e in leaf.exceptionals:
-            if ideal.is_trivial():
-                break
-            ideal = ideal.saturate(e)
-        return ideal
-
     def blow_up(self, center: tuple[Polynomial, ...]) -> None:
         label = f"s{len(self.steps) + 1}"
+        ideal = Ideal(self.input_ring, center)
         new_leaves: list[Chart] = []
         for leaf in self.leaves:
-            transformed = self.center_on_chart(leaf, center)
+            transformed = proper_transform(leaf, ideal)
             if transformed.is_trivial():
                 new_leaves.append(_pass_through(leaf))
                 continue

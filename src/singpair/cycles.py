@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .blowup import blowdown_image, proper_transform
 from .errors import PerversityError
-from .factor import factor, rational_roots
+from .factor import factor
 from .ideals import Ideal
 from .strata import Stratification, split_components
 
@@ -213,8 +213,9 @@ def strong_family_check(
     Over each stratum piece the parameter values where the family meets it
     are cut out by an eliminant in the parameter alone.  A zero eliminant
     means the piece is hit over every value; then the generic fiber loses
-    one dimension against the total.  Otherwise the eliminant's rational
-    roots are checked one by one and its higher degree factors in bulk.
+    one dimension against the total.  Otherwise the eliminant is factored
+    once: the roots of its linear factors are checked one by one and its
+    higher degree factors in bulk.
     Special candidates, roots and marked values alike, are shared across
     all pieces.
     """
@@ -249,11 +250,11 @@ def strong_family_check(
                 )
             else:
                 entry["dominates"] = False
-                g = eliminant[0]
-                candidates.update(rational_roots(g))
-                _, factors = factor(g, relax_scope=True)
+                _, factors = factor(eliminant[0], relax_scope=True)
                 for q, _m in factors:
-                    if q.degree_in(param) < 2:
+                    if q.degree_in(param) == 1:
+                        # monic and linear: q = param - root
+                        candidates.add((q.ring.var(param) - q).constant_value())
                         continue
                     d = h.plus([q.in_ring(total.ring)]).dimension_or_none()
                     good = d is None or d <= bound

@@ -294,11 +294,10 @@ def quadric_rank_drop(matrix: list[list[Polynomial]], ring: PolynomialRing) -> P
 # -- projective points ---------------------------------------------------------
 
 
-def dehomogenize(gens: tuple[Polynomial, ...], coord: str) -> Ideal:
-    ring = gens[0].ring
-    patch_ring = PolynomialRing(tuple(n for n in ring.names if n != coord))
-    out = [g.substitute({coord: 1}, patch_ring) for g in gens]
-    return Ideal(patch_ring, tuple(g for g in out if not g.is_zero()))
+def dehomogenize(ideal: Ideal, coord: str) -> Ideal:
+    """The ideal on the patch coord = 1, in the remaining coordinates."""
+    patch_ring = PolynomialRing(tuple(n for n in ideal.ring.names if n != coord))
+    return Ideal(patch_ring, (g.substitute({coord: 1}, patch_ring) for g in ideal.gens))
 
 
 def projective_rational_points(
@@ -313,11 +312,11 @@ def projective_rational_points(
     """
     if not gens:
         raise ValueError("no generators")
-    ring = gens[0].ring
-    names = ring.names
+    whole = Ideal(gens[0].ring, gens)
+    names = whole.ring.names
     found: list[tuple[Fraction, ...]] = []
     for i, coord in enumerate(names):
-        patch = dehomogenize(gens, coord)
+        patch = dehomogenize(whole, coord)
         dim = patch.dimension_or_none()
         if dim is None:
             continue

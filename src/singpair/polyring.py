@@ -421,18 +421,22 @@ class Polynomial:
                 powers[(name, k)] = got
             return got
 
+        # a term's image is the product of its powers, scaled by c as it is
+        # added in: no product with the one-term constant c
+        one = ring.one()
         out: dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
-            piece = ring.const(c)
+            piece = one
             for i, k in enumerate(e):
                 if k:
-                    piece = piece * power(self.ring.names[i], k)
+                    p = power(self.ring.names[i], k)
+                    piece = p if piece is one else piece * p
             for m, v in piece.terms.items():
                 old = out.get(m)
                 if old is None:
-                    out[m] = v
+                    out[m] = c * v
                 else:
-                    s = old + v
+                    s = old + c * v
                     if s:
                         out[m] = s
                     else:

@@ -404,6 +404,13 @@ def _check_references(sc: Scenario, diags: list[Diagnostic]) -> None:
             need("cycle", sc.cycles, a.get("a"), task, "a")
             need("cycle", sc.cycles, a.get("b"), task, "b")
             need("stratification", sc.strata, a.get("strat"), task, "strat")
+            expect = a.get("expect_degree")
+            if expect is not None:
+                try:
+                    int(expect)
+                except ValueError:
+                    diags.append(Diagnostic(
+                        task.line, f"expect_degree must be an integer, got {expect!r}"))
         elif task.kind == "audit":
             need("cycle", sc.cycles, a.get("cycle"), task, "cycle")
             need("family", sc.families, a.get("family"), task, "family")
@@ -433,6 +440,10 @@ def _check_references(sc: Scenario, diags: list[Diagnostic]) -> None:
                     diags.append(Diagnostic(
                         task.line,
                         f"prefix must lie in 0..{max(len(sc.steps) - 1, 0)}, got {prefix!r}"))
+            rules = (r.strip() for r in a.get("rules", "images").split(","))
+            bad = [r for r in rules if r and r not in RULES]
+            if bad:
+                diags.append(Diagnostic(task.line, f"unknown rules {bad} (have {list(RULES)})"))
         elif task.kind == "incidence":
             need("cycle", sc.cycles, a.get("a"), task, "a")
             need("cycle", sc.cycles, a.get("b"), task, "b")

@@ -7,14 +7,18 @@ z^2*(xp^2 - yp^2 + t), so the transform is xp^2 - yp^2 + t, and similarly
 for the other pivots.
 """
 
+from pathlib import Path
+
 import pytest
 
-from singpair.blowup import ResolutionTower, blowdown_image
+from singpair.blowup import ResolutionTower, blowdown_image, proper_transform
 from singpair.errors import CenterError
 from singpair.geometry import singular_locus
 from singpair.ideals import Ideal
 from singpair.polyring import PolynomialRing
+from singpair.scenario import Workspace, parse_scenario
 
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "singpair" / "corpus"
 CONE = PolynomialRing(("x", "y", "z", "t"))
 
 
@@ -137,10 +141,10 @@ class TestSecondStep:
         tower, ring = self.nodal_tower()
         center = (ring.parse("y^2 - x^3 - x^2"), ring.var("w"))
         xc = chart_by_ring(tower, ("x", "yp", "wp"))
-        moved = tower.center_on_chart(xc, center)
+        moved = proper_transform(xc, Ideal(ring, center))
         assert moved == Ideal.parse(xc.ring, "yp^2 - x - 1; wp")
         wc = chart_by_ring(tower, ("xp", "yp", "w"))
-        assert tower.center_on_chart(wc, center).is_trivial()
+        assert proper_transform(wc, Ideal(ring, center)).is_trivial()
 
     def test_blow_up_pass_through_and_split(self):
         tower, ring = self.nodal_tower()
@@ -177,6 +181,13 @@ class TestProjectiveTower:
         xpatch = next(c for c in tower.leaves if c.name == "X=1")
         assert xpatch.ownership == (xpatch.ring.var("S"), xpatch.ring.var("T"))
 
+    def test_projective_space_without_relations(self):
+        tower = ResolutionTower.projective(self.RING, ())
+        assert [c.name for c in tower.leaves] == ["S=1", "T=1", "X=1", "Y=1", "Z=1"]
+        assert all(c.relations.is_zero() for c in tower.leaves)
+        tower.blow_up((self.RING.var("X"), self.RING.var("Y"), self.RING.var("Z")))
+        assert tower.all_smooth()
+
     def test_rejects_inhomogeneous(self):
         with pytest.raises(CenterError):
             ResolutionTower.projective(self.RING, (self.RING.parse("S*X^2 - Y"),))
@@ -211,3 +222,73 @@ class TestProjectiveTower:
         assert by_patch == {"T=1": 11, "S=1": 3, "X=1": 5, "Y=1": 5, "Z=1": 1}
         assert len(tower.nonempty_leaves()) == 25
         assert tower.all_smooth()
+
+
+def reference_center_on_chart(leaf, center):
+    """A one-shot center transform, the reference for proper_transform.
+
+    Pull the center back, add every graph relation the lineage has kept
+    (each carried through the later substitutions), and saturate by every
+    exceptional in turn.
+    """
+    graph = ()
+    for step in leaf.lineage:
+        if step.exceptional is not None:
+            move = step.substitution_map()
+            graph = tuple(g.substitute(move, step.ring) for g in graph) + step.graph
+    ideal = Ideal(leaf.ring, tuple(leaf.pull_back(g) for g in center) + graph)
+    for e in leaf.exceptionals:
+        if ideal.is_trivial():
+            break
+        ideal = ideal.saturate(e)
+    return ideal
+
+
+def grown(tower, centers):
+    """The tower and each tower after one more of the centers."""
+    out = [tower]
+    for center in centers:
+        out.append(out[-1].copy())
+        out[-1].blow_up(center)
+    return out
+
+
+def corpus_prefixes(name):
+    ws = Workspace(parse_scenario(CORPUS / f"{name}.scn"))
+    return [ws.tower(k) for k in range(len(ws.scenario.steps) + 1)]
+
+
+def hand_tower(variables, relations, *centers):
+    ring = PolynomialRing(variables)
+    base = ResolutionTower.affine(ring, Ideal.parse(ring, relations).gens)
+    return grown(base, [tuple(Ideal.parse(ring, c).gens) for c in centers])
+
+
+TRANSFORM_CASES = {
+    **{
+        path.stem: lambda name=path.stem: corpus_prefixes(name)
+        for path in CORPUS.glob("*.scn")
+    },
+    "nodal": lambda: hand_tower(("x", "y", "w"), "w", "x; y; w", "y^2 - x^3 - x^2; w"),
+    "umbrella_then_point": lambda: hand_tower(
+        ("x", "y", "t"), "x^2 - t*y^2", "x; y", "x; y - 1; t - 1"
+    ),
+    "quadric_fourfold": lambda: hand_tower(("x", "y", "z", "t"), "x*y - z*t", "x; y; z"),
+    # the pivot-z chart keeps the graph relation x^3 - y^2 = r*z, which the
+    # z-axis needs to lift to x = y = r = 0 rather than to x = y = 0
+    "cusp_cylinder_then_axis": lambda: hand_tower(("x", "y", "z"), "", "y^2 - x^3; z", "x; y"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_CASES))
+def test_centers_move_up_as_the_one_shot_reference(case):
+    # every leaf of every prefix against every center of the full tower,
+    # including centers the leaf's own lineage already blew up
+    towers = TRANSFORM_CASES[case]()
+    for tower in towers:
+        for leaf in tower.leaves:
+            for center in towers[-1].steps:
+                got = proper_transform(leaf, Ideal(tower.input_ring, center))
+                want = reference_center_on_chart(leaf, center)
+                assert got.ring == leaf.ring
+                assert got.groebner() == want.groebner(), (case, leaf.name, center)

@@ -169,6 +169,18 @@ class TestFamilyChecks:
         generic = [c for e in dominating for c in e["checks"] if c["at"] == "generic"]
         assert all(c["dim"] == 0 for c in generic)
 
+    def test_strong_check_factors_a_degree_nine_eliminant(self):
+        # over the singular line the family meets the pieces where
+        # l^9 - l = l (l - 1) (l + 1) (l^2 + 1) (l^4 + 1) vanishes, one degree
+        # past the strict factoring scope; the roots come off the linear factors
+        total = Ideal.parse(CONE_L, "x - y; z; x - l^9 + l")
+        family = CycleFamily("N", total, "l", perversity=Perversity((0, 1, 1)))
+        report = strong_family_check(family, coarse())
+        assert report["special_values"] == [-1, 0, 1]
+        assert report["entries"]
+        for entry in report["entries"]:
+            assert [c["at"] for c in entry["checks"]] == ["l^2 + 1", "l^4 + 1", -1, 0, 1]
+
     def test_family_without_perversity_is_rejected(self):
         total = Ideal.parse(CONE_L, "x - y; z; t - l")
         bare = CycleFamily("bare", total, "l")

@@ -5,6 +5,7 @@ import pytest
 from singpair.errors import ImproperIntersectionError
 from singpair.geometry import (
     center_quadratic_form,
+    dehomogenize,
     is_smooth,
     projective_rational_points,
     quadric_rank_drop,
@@ -136,6 +137,16 @@ def test_projective_rational_points():
         tuple(P.parse(s) for s in ("X + Y", "S", "Z", "X", "T"))
     )
     assert empty == []
+
+
+def test_dehomogenize_keeps_the_patch_ring_without_relations():
+    P = PolynomialRing(("S", "T", "X"))
+    patch = dehomogenize(Ideal(P, (P.parse("S*X - T^2"), P.parse("X^2 - X^2"))), "T")
+    assert patch.ring.names == ("S", "X")
+    assert patch.gens == (patch.ring.parse("S*X - 1"),)
+    empty = dehomogenize(Ideal(P, ()), "S")
+    assert empty.ring.names == ("T", "X")
+    assert empty.is_zero()
 
 
 def test_projective_positive_dimensional_rejected():

@@ -134,20 +134,41 @@ def test_in_ring_moves_exponents_like_substitution():
         R.parse("x - t").in_ring(PolynomialRing(("x", "y")))
 
 
+def reference_substitute(f, bindings, ring):
+    """Each term's image starts from the constant ring.const(c) and takes one
+    power at a time; the images are added to a running sum."""
+    want = ring.zero()
+    for e, c in f.terms.items():
+        piece = ring.const(c)
+        for name, k in zip(f.ring.names, e):
+            if k:
+                image = bindings[name] if name in bindings else ring.var(name)
+                if isinstance(image, Fraction):
+                    image = ring.const(image)
+                piece = piece * image ** k
+        want = want + piece
+    return want
+
+
 def test_substitute_accumulates_in_term_order():
     C = PolynomialRing(("x", "yp", "zp", "t"))
     f = R.parse("x^2 - y^2 + t*z^2 + 3*x*y - y*z + 2")
     bindings = {"y": C.parse("yp*x + 1"), "z": C.parse("zp*x - yp")}
     got = f.substitute(bindings, C)
-    # reference: add the image of each term to a running sum
-    want = C.zero()
-    for e, c in f.terms.items():
-        piece = C.const(c)
-        for name, k in zip(R.names, e):
-            if k:
-                piece = piece * (bindings[name] if name in bindings else C.var(name)) ** k
-        want = want + piece
+    want = reference_substitute(f, bindings, C)
     assert got == want and list(got.terms) == list(want.terms)
+    # small random inputs, where terms cancel and images may be scalars or zero
+    rng = random.Random("substitute")
+    source = PolynomialRing(("x", "y", "z"))
+    target = PolynomialRing(("x", "u", "v"))
+    for _ in range(300):
+        f = small_poly(rng, source)
+        bindings = {
+            "y": small_poly(rng, target),
+            "z": rng.choice((small_poly(rng, target), Fraction(rng.randint(-2, 2)))),
+        }
+        got = f.substitute(bindings, target)
+        assert same_terms(got, reference_substitute(f, bindings, target))
 
 
 def test_rings_stay_picklable_after_use():
@@ -292,3 +313,19 @@ def test_power_multiplies_only_what_it_needs(monkeypatch):
         calls.clear()
         p ** k
         assert len(calls) == needed, k
+
+
+def test_substitute_multiplies_powers_not_constants(monkeypatch):
+    f = R.parse("3*x*y^2 - y + 5")
+    bindings = {"x": R.parse("x + t"), "y": R.parse("y - z")}
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    f.substitute(bindings)
+    # y^2 is one product and x*y^2 another; no term is multiplied by its coefficient
+    assert len(calls) == 2

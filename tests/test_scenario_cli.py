@@ -114,6 +114,20 @@ class TestValidation:
         diags = validate_scenario(scn(tmp_path, text))
         assert any("prefix must lie in 0..0" in d.message for d in diags)
 
+    def test_compare_towers_rule_names_are_checked(self, tmp_path, capsys):
+        text = PLANE + "\ncmp: kind = compare-towers | a = H | b = V | prefix = 0 | rules = imagez\n"
+        path = scn(tmp_path, text)
+        assert any("unknown rules ['imagez']" in d.message for d in validate_scenario(path))
+        assert main(["validate", str(path)]) == 2
+        capsys.readouterr()
+
+    def test_expect_degree_must_be_an_integer(self, tmp_path, capsys):
+        path = scn(tmp_path, PLANE.replace("expect_degree = 1", "expect_degree = one"))
+        diags = validate_scenario(path)
+        assert any("expect_degree must be an integer, got 'one'" in d.message for d in diags)
+        assert main(["validate", str(path)]) == 2
+        capsys.readouterr()
+
     def test_incidence_needs_projective_space(self, tmp_path):
         text = PLANE + "\ninc: kind = incidence | a = H | b = V\n"
         diags = validate_scenario(scn(tmp_path, text))
