@@ -80,12 +80,17 @@ def format_point(coords: tuple[Fraction, ...]) -> str:
 # -- task execution ---------------------------------------------------------------
 
 
-def _parse_bool(args: dict[str, str], key: str) -> bool:
-    return args.get(key, "false") == "true"
-
-
 def _cycle(ws: Workspace, name: str):
     return ws.scenario.cycles[name]
+
+
+def _expect(payload: dict, key: str, got, want) -> dict:
+    """The payload, or an Expectation carrying it with payload[key] = want
+    when got misses want; want None sets no expectation."""
+    if want is not None and got != want:
+        payload[key] = want
+        raise Expectation(payload)
+    return payload
 
 
 def _run_stratify(ws: Workspace, task: Task, flags: Flags) -> dict:
@@ -100,11 +105,7 @@ def _run_check(ws: Workspace, task: Task, flags: Flags) -> dict:
     report = perversity_check(cycle.ideal, strat, cycle.perversity)
     report["cycle"] = cycle.name
     report["perversity"] = cycle.perversity
-    expect = task.args.get("expect", "pass")
-    if (expect == "pass") != report["ok"]:
-        report["expected"] = expect
-        raise Expectation(report)
-    return report
+    return _expect(report, "expected", "pass" if report["ok"] else "fail", task.args["expect"])
 
 
 def _run_minimal(ws: Workspace, task: Task, flags: Flags) -> dict:
@@ -112,13 +113,7 @@ def _run_minimal(ws: Workspace, task: Task, flags: Flags) -> dict:
     strat = ws.strat(task.args["strat"])
     p = minimal_perversity(cycle.ideal, strat)
     payload = {"cycle": cycle.name, "perversity": None if p is None else str(p)}
-    expect = task.args.get("expect")
-    if expect is not None:
-        want = None if expect == "none" else expect
-        if payload["perversity"] != want:
-            payload["expected"] = expect
-            raise Expectation(payload)
-    return payload
+    return _expect(payload, "expected", payload["perversity"] or "none", task.args.get("expect"))
 
 
 def _run_transform(ws: Workspace, task: Task, flags: Flags) -> dict:
@@ -132,50 +127,34 @@ def _run_pair(ws: Workspace, task: Task, flags: Flags) -> dict:
     a = _cycle(ws, task.args["a"])
     b = _cycle(ws, task.args["b"])
     strat = ws.strat(task.args["strat"])
-    allow = _parse_bool(task.args, "allow_noncomplementary")
-    if flags.strict_complementarity:
-        allow = False
+    allow = task.args["allow_noncomplementary"] and not flags.strict_complementarity
     report = pair(a, b, strat, allow_noncomplementary=allow)
-    expect = task.args.get("expect_degree")
-    if expect is not None and report["degree"] != int(expect):
-        report["expected_degree"] = int(expect)
-        raise Expectation(report)
-    return report
+    return _expect(report, "expected_degree", report["degree"], task.args.get("expect_degree"))
 
 
 def _run_audit(ws: Workspace, task: Task, flags: Flags) -> dict:
     cycle = _cycle(ws, task.args["cycle"])
     family = ws.scenario.families[task.args["family"]]
     strat = ws.strat(task.args["strat"])
-    allow_nc = _parse_bool(task.args, "allow_noncomplementary")
-    if flags.strict_complementarity:
-        allow_nc = False
-    allow_ns = _parse_bool(task.args, "allow_nonstandard") or flags.allow_nonstandard
+    allow_nc = task.args["allow_noncomplementary"] and not flags.strict_complementarity
+    allow_ns = task.args["allow_nonstandard"] or flags.allow_nonstandard
     report = audit(
         cycle, family, strat,
-        mode=task.args.get("mode", "strong"),
+        mode=task.args["mode"],
         allow_noncomplementary=allow_nc,
         allow_nonstandard=allow_ns,
     )
-    expect = task.args.get("expect", "CONSISTENT")
-    report["expected"] = expect
-    if report["verdict"] != expect:
-        raise Expectation(report)
-    return report
+    report["expected"] = task.args["expect"]
+    return _expect(report, "expected", report["verdict"], report["expected"])
 
 
 def _run_compare(ws: Workspace, task: Task, flags: Flags) -> dict:
     a = _cycle(ws, task.args["a"])
     b = _cycle(ws, task.args["b"])
-    prefix = int(task.args["prefix"])
-    rules = tuple(
-        r.strip() for r in task.args.get("rules", "images").split(",") if r.strip()
-    )
-    allow = _parse_bool(task.args, "allow_noncomplementary")
-    if flags.strict_complementarity:
-        allow = False
-    short = ws.ad_hoc_strat(rules, prefix=prefix)
-    full = ws.ad_hoc_strat(rules)
+    prefix = task.args["prefix"]
+    allow = task.args["allow_noncomplementary"] and not flags.strict_complementarity
+    short = ws.ad_hoc_strat(task.args["rules"], prefix=prefix)
+    full = ws.ad_hoc_strat(task.args["rules"])
     report = compare_towers(a, b, [short, full], allow_noncomplementary=allow)
     payload = {
         "a": a.name,
@@ -185,11 +164,7 @@ def _run_compare(ws: Workspace, task: Task, flags: Flags) -> dict:
         "agree": report["agree"],
         "points": [r["points"] for r in report["reports"]],
     }
-    expect = task.args.get("expect_agree")
-    if expect is not None and payload["agree"] != (expect == "true"):
-        payload["expected_agree"] = expect == "true"
-        raise Expectation(payload)
-    return payload
+    return _expect(payload, "expected_agree", payload["agree"], task.args.get("expect_agree"))
 
 
 def _run_incidence(ws: Workspace, task: Task, flags: Flags) -> dict:
@@ -199,10 +174,8 @@ def _run_incidence(ws: Workspace, task: Task, flags: Flags) -> dict:
     meet = a.ideal.plus(b.ideal).plus(sc.relations)
     irrelevant = Ideal(sc.ring, tuple(sc.ring.var(n) for n in sc.ring.names))
     saturated = meet.saturate_ideal(irrelevant)
-    if saturated.is_trivial():
-        points: list[str] = []
-    else:
-        points = [format_point(p) for p in projective_rational_points(saturated.gens)]
+    found = [] if saturated.is_trivial() else projective_rational_points(saturated.gens)
+    points = [format_point(p) for p in found]
     payload = {
         "a": a.name,
         "b": b.name,
@@ -210,22 +183,16 @@ def _run_incidence(ws: Workspace, task: Task, flags: Flags) -> dict:
         "points": points,
         "empty": not points,
     }
-    expect = task.args.get("expect")
-    if expect is not None:
-        want: list[str] = [] if expect == "empty" else [e.strip() for e in expect.split(";")]
-        if points != want:
-            payload["expected"] = want
-            raise Expectation(payload)
-    return payload
+    want = task.args.get("expect")
+    if want is not None:
+        want = [format_point(p) for p in want]
+    return _expect(payload, "expected", points, want)
 
 
 def _run_audit_tower(ws: Workspace, task: Task, flags: Flags) -> dict:
     payload = ws.tower().audit()
-    expect = task.args.get("expect_smooth")
-    if expect is not None and payload["all_charts_smooth"] != (expect == "true"):
-        payload["expected_smooth"] = expect == "true"
-        raise Expectation(payload)
-    return payload
+    return _expect(payload, "expected_smooth", payload["all_charts_smooth"],
+                   task.args.get("expect_smooth"))
 
 
 _RUNNERS = {
@@ -261,13 +228,14 @@ def _error_kind(exc: SingpairError) -> str:
     return "".join(out)
 
 
-def run_tasks(scenario: Scenario, flags: Flags, kinds: tuple[str, ...] | None = None) -> dict:
-    """Execute the scenario's tasks in order and assemble the report."""
+def run_tasks(scenario: Scenario, flags: Flags, kind: str | None = None) -> dict:
+    """Execute the scenario's tasks in order, or only those of one kind,
+    and assemble the report."""
     ws = Workspace(scenario)
     started = time.monotonic()
     rows = []
     for task in scenario.tasks:
-        if kinds is not None and task.kind not in kinds:
+        if kind is not None and task.kind != kind:
             continue
         t0 = time.monotonic()
         status = "ok"
@@ -386,14 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KIND_FILTER = {
-    "stratify": ("stratify",),
-    "pair": ("pair",),
-    "audit": ("audit",),
-    "compare-towers": ("compare-towers",),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     path = Path(args.scenario)
@@ -430,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         allow_nonstandard=args.allow_nonstandard_perversity,
         strict_complementarity=args.strict_complementarity,
     )
-    report = run_tasks(scenario, flags, _KIND_FILTER.get(args.command))
+    report = run_tasks(scenario, flags, None if args.command == "run" else args.command)
     _print_report(report)
     if args.json:
         _write_json(report, args.json)

@@ -801,26 +801,3 @@ def is_irreducible(f: Polynomial) -> bool:
         return False
     _, factors = factor(f)
     return len(factors) == 1 and factors[0][1] == 1
-
-
-def squarefree_part(f: Polynomial) -> Polynomial:
-    _, factors = factor(f)
-    out = f.ring.one()
-    for g, _m in factors:
-        out = out * g
-    return out
-
-
-def rational_roots(f: Polynomial) -> list[Fraction]:
-    """Rational roots of a univariate polynomial, ascending, without multiplicity."""
-    used = f.variables_used()
-    if len(used) != 1:
-        raise ValueError("rational_roots needs a univariate polynomial")
-    name = used.pop()
-    _, factors = factor(f)
-    roots = []
-    for g, _m in factors:
-        if g.degree_in(name) == 1:
-            dense = _to_dense(g, name)
-            roots.append(-dense[0] / dense[1])
-    return sorted(roots)

@@ -165,13 +165,11 @@ def _interreduce(polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 
     An element none of whose terms another element's leading monomial
     divides is kept without dividing: normal_form would charge nothing and
-    return its terms unchanged, in descending order, or the element itself
-    when there are no others. Only first-pass elements can be out of that
-    order; a later pass sees normal_form's output, first-pass elements put
-    in order, or a lone element.
+    return the same terms. Only their insertion order could differ, and
+    no output reads it (printing, equality, hashing and canonical keys
+    all sort terms).
     """
     basis = [p.monic() for p in polys if not p.is_zero()]
-    first = True
     changed = True
     while changed:
         changed = False
@@ -180,7 +178,7 @@ def _interreduce(polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
             others = out + basis[i + 1 :]
             lead = [g.leading_monomial() for g in others]
             if not any(exp_divides(m, e) for e in p.terms for m in lead):
-                out.append(_descending(p) if first and others else p)
+                out.append(p)
                 continue
             # some term is divisible, so the remainder differs from p
             changed = True
@@ -188,19 +186,10 @@ def _interreduce(polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
             if not q.is_zero():
                 out.append(q.monic())
         basis = out
-        first = False
     if basis:
         key = basis[0].ring.order.sort_key
         basis.sort(key=lambda g: key(g.leading_monomial()))
     return tuple(basis)
-
-
-def _descending(p: Polynomial) -> Polynomial:
-    """p with its terms in descending order, as normal_form builds them."""
-    order = sorted(p.terms, key=p.ring.order.descending_key)
-    if order == list(p.terms):
-        return p
-    return Polynomial(p.ring, {e: p.terms[e] for e in order})
 
 
 # Exponent tuples and coefficients of recent reduced bases, by value. Bases

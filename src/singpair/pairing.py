@@ -127,18 +127,15 @@ def pushforward(
         for pc in components:
             if not chart.owns(pc.prime):
                 continue
+            # the image of a closed point is a closed point: already maximal
             image = blowdown_image(chart, pc.prime, base)
-            below = zero_dim_decompose(image)
-            assert len(below) == 1, "image of a point is one point"
-            target = below[0]
-            assert pc.residue_degree % target.residue_degree == 0
-            relative = pc.residue_degree // target.residue_degree
-            prime = Ideal(base, target.prime.groebner())
-            key = prime.canonical_key()
+            residue_degree = image.vector_space_dimension()
+            assert pc.residue_degree % residue_degree == 0
+            relative = pc.residue_degree // residue_degree
+            prime = Ideal(base, image.groebner())
             entry = merged.setdefault(
-                key,
-                {"prime": prime, "residue_degree": target.residue_degree,
-                 "multiplicity": 0},
+                prime.canonical_key(),
+                {"prime": prime, "residue_degree": residue_degree, "multiplicity": 0},
             )
             entry["multiplicity"] += pc.multiplicity * relative
             upstairs += pc.multiplicity * pc.residue_degree

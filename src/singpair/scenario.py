@@ -8,9 +8,10 @@ Lines in [ring] and [space] are `key = value`; lines everywhere else are
 repeated key collecting into a list.  Polynomial lists separate their
 generators with `;`.  `#` starts a comment.
 
-Parsing and validation never run Groebner bases; building towers and
-stratifications is deferred to the workspace so that the cost lands on
-the task that asked for it.
+Task arguments are parsed here, by one table (TASK_ARGS), so a value that
+validates is one a run can use.  Parsing and validation never run Groebner
+bases; building towers and stratifications is deferred to the workspace so
+that the cost lands on the task that asked for it.
 """
 
 from __future__ import annotations
@@ -18,43 +19,107 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .blowup import ResolutionTower
 from .cycles import Cycle, CycleFamily, Perversity
 from .errors import PerversityError, PolyParseError, ScenarioError
 from .ideals import Ideal
+from .pairing import VERDICTS
 from .polyring import MonomialOrder, Polynomial, PolynomialRing
 from .strata import PRESETS, RULES, Stratification
 
 SECTIONS = ("ring", "space", "tower", "strata", "cycles", "families", "tasks")
 
-TASK_KINDS = (
-    "stratify",
-    "check",
-    "minimal",
-    "transform",
-    "pair",
-    "audit",
-    "compare-towers",
-    "incidence",
-    "audit-tower",
-)
 
-_TASK_KEYS = {
-    "stratify": {"strat"},
-    "check": {"cycle", "strat", "expect"},
-    "minimal": {"cycle", "strat", "expect"},
-    "transform": {"cycle", "strat"},
-    "pair": {"a", "b", "strat", "allow_noncomplementary", "expect_degree"},
+# -- task arguments -------------------------------------------------------------
+#
+# Each parser turns an argument's text into the value the runner uses, or
+# raises ValueError with the rest of a sentence that starts with the key.
+
+
+def _one_of(*values: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in values:
+            raise ValueError(f"must be {' or '.join(values)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _flag(text: str) -> bool:
+    return _one_of("true", "false")(text) == "true"
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _rules(text: str) -> tuple[str, ...]:
+    parts = tuple(r.strip() for r in text.split(",") if r.strip())
+    bad = [r for r in parts if r not in RULES]
+    if bad:
+        raise ValueError(f"names unknown rules {bad} (have {list(RULES)})")
+    return parts
+
+
+def _perversity_or_none(text: str) -> str:
+    """Canonical perversity text such as `0,0,1`, or `none`."""
+    if text == "none":
+        return text
+    try:
+        return str(Perversity(tuple(int(v) for v in text.split(","))))
+    except (ValueError, PerversityError):
+        raise ValueError(f"must be a perversity such as 0,0,1 or none, got {text!r}") from None
+
+
+def _points(text: str) -> list[tuple[Fraction, ...]]:
+    """`;`-separated projective points such as `[1:0:2]`, or `empty`."""
+    if text == "empty":
+        return []
+    points = []
+    for part in text.split(";"):
+        part = part.strip()
+        try:
+            if not (part.startswith("[") and part.endswith("]")):
+                raise ValueError
+            points.append(tuple(Fraction(c) for c in part[1:-1].split(":")))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"must be empty or points such as [1:0:2] separated by ;, got {part!r}") from None
+    return points
+
+
+_REQUIRED = object()  # default of an argument a task must give
+
+# kind -> argument -> (parser, default); a default of None leaves the
+# argument out of Task.args when the task does not give it
+_NAME = (str, _REQUIRED)
+_FLAG = (_flag, False)
+TASK_ARGS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
+    "stratify": {"strat": _NAME},
+    "check": {"cycle": _NAME, "strat": _NAME, "expect": (_one_of("pass", "fail"), "pass")},
+    "minimal": {"cycle": _NAME, "strat": _NAME, "expect": (_perversity_or_none, None)},
+    "transform": {"cycle": _NAME, "strat": _NAME},
+    "pair": {
+        "a": _NAME, "b": _NAME, "strat": _NAME,
+        "allow_noncomplementary": _FLAG, "expect_degree": (_integer, None),
+    },
     "audit": {
-        "cycle", "family", "strat", "mode",
-        "allow_noncomplementary", "allow_nonstandard", "expect",
+        "cycle": _NAME, "family": _NAME, "strat": _NAME,
+        "mode": (_one_of("weak", "strong"), "strong"),
+        "allow_noncomplementary": _FLAG, "allow_nonstandard": _FLAG,
+        "expect": (_one_of(*VERDICTS), "CONSISTENT"),
     },
     "compare-towers": {
-        "a", "b", "prefix", "rules", "allow_noncomplementary", "expect_agree",
+        "a": _NAME, "b": _NAME, "prefix": (_integer, _REQUIRED), "rules": (_rules, ("images",)),
+        "allow_noncomplementary": _FLAG, "expect_agree": (_flag, None),
     },
-    "incidence": {"a", "b", "expect"},
-    "audit-tower": {"expect_smooth"},
+    "incidence": {"a": _NAME, "b": _NAME, "expect": (_points, None)},
+    "audit-tower": {"expect_smooth": (_flag, None)},
 }
 
 
@@ -71,7 +136,7 @@ class Diagnostic:
 class Task:
     name: str
     kind: str
-    args: dict[str, str]
+    args: dict[str, object]  # parsed, defaults filled in (see TASK_ARGS)
     line: int
 
 
@@ -263,12 +328,11 @@ def _assemble(text: str, name: str, path: str, diags: list[Diagnostic]) -> Scena
         spec: dict = {}
         rules = _single(fields, "rules")
         if rules is not None:
-            parts = tuple(r.strip() for r in rules.split(",") if r.strip())
-            bad = [r for r in parts if r not in RULES]
-            if bad:
-                diags.append(Diagnostic(n, f"unknown rules {bad} (have {list(RULES)})"))
+            try:
+                spec["rules"] = _rules(rules)
+            except ValueError as e:
+                diags.append(Diagnostic(n, f"rules {e}"))
                 continue
-            spec["rules"] = parts
         preset = _single(fields, "preset")
         if preset is not None:
             if preset not in PRESETS:
@@ -362,20 +426,31 @@ def _assemble(text: str, name: str, path: str, diags: list[Diagnostic]) -> Scena
         except ValueError as e:
             diags.append(Diagnostic(n, str(e)))
             continue
-        args = {k: v for k, v in pairs}
-        task_kind = args.pop("kind", None)
+        given = dict(pairs)
+        task_kind = given.pop("kind", None)
         if task_kind is None:
             diags.append(Diagnostic(n, "task needs a kind"))
             continue
-        if task_kind not in TASK_KINDS:
-            diags.append(Diagnostic(n, f"unknown task kind {task_kind!r} (have {list(TASK_KINDS)})"))
+        spec = TASK_ARGS.get(task_kind)
+        if spec is None:
+            diags.append(Diagnostic(n, f"unknown task kind {task_kind!r} (have {list(TASK_ARGS)})"))
             continue
-        unknown = set(args) - _TASK_KEYS[task_kind]
+        unknown = set(given) - set(spec)
         if unknown:
             diags.append(Diagnostic(
-                n, f"unknown keys {sorted(unknown)} for {task_kind} "
-                   f"(allowed: {sorted(_TASK_KEYS[task_kind])})"))
+                n, f"unknown keys {sorted(unknown)} for {task_kind} (allowed: {sorted(spec)})"))
             continue
+        args: dict[str, object] = {}
+        for key, (parse, default) in spec.items():
+            if key in given:
+                try:
+                    args[key] = parse(given[key])
+                except ValueError as e:
+                    diags.append(Diagnostic(n, f"{key} {e}"))
+            elif default is _REQUIRED:
+                diags.append(Diagnostic(n, f"{task_kind} task needs {key}"))
+            elif default is not None:
+                args[key] = default
         tasks.append(Task(nm, task_kind, args, n))
 
     scenario = Scenario(
@@ -387,71 +462,30 @@ def _assemble(text: str, name: str, path: str, diags: list[Diagnostic]) -> Scena
 
 
 def _check_references(sc: Scenario, diags: list[Diagnostic]) -> None:
-    def need(kind: str, pool: dict, nm: str | None, task: Task, what: str) -> None:
-        if nm is None:
-            diags.append(Diagnostic(task.line, f"{task.kind} task needs {what}"))
-        elif nm not in pool:
-            diags.append(Diagnostic(task.line, f"unknown {kind} {nm!r}"))
-
+    """What a task's arguments name must exist and fit the scenario."""
+    cycles = ("cycle", sc.cycles)
+    pools = {"a": cycles, "b": cycles, "cycle": cycles,
+             "family": ("family", sc.families), "strat": ("stratification", sc.strata)}
     for task in sc.tasks:
         a = task.args
-        if task.kind == "stratify":
-            need("stratification", sc.strata, a.get("strat"), task, "strat")
-        elif task.kind in ("check", "minimal", "transform"):
-            need("cycle", sc.cycles, a.get("cycle"), task, "cycle")
-            need("stratification", sc.strata, a.get("strat"), task, "strat")
-        elif task.kind == "pair":
-            need("cycle", sc.cycles, a.get("a"), task, "a")
-            need("cycle", sc.cycles, a.get("b"), task, "b")
-            need("stratification", sc.strata, a.get("strat"), task, "strat")
-            expect = a.get("expect_degree")
-            if expect is not None:
-                try:
-                    int(expect)
-                except ValueError:
-                    diags.append(Diagnostic(
-                        task.line, f"expect_degree must be an integer, got {expect!r}"))
-        elif task.kind == "audit":
-            need("cycle", sc.cycles, a.get("cycle"), task, "cycle")
-            need("family", sc.families, a.get("family"), task, "family")
-            need("stratification", sc.strata, a.get("strat"), task, "strat")
-            mode = a.get("mode", "strong")
-            if mode not in ("weak", "strong"):
-                diags.append(Diagnostic(task.line, f"audit mode is weak or strong, got {mode!r}"))
-            fam = sc.families.get(a.get("family", ""))
-            if fam is not None and len(fam.marked) < 2:
-                diags.append(Diagnostic(
-                    task.line, f"family {fam.name!r} needs at least two marked values to audit"))
-            expect = a.get("expect", "CONSISTENT")
-            if expect not in ("CONSISTENT", "DEGREE_ONLY", "INCONSISTENT", "FAMILY_REJECTED"):
-                diags.append(Diagnostic(task.line, f"unknown audit verdict {expect!r}"))
-        elif task.kind == "compare-towers":
-            need("cycle", sc.cycles, a.get("a"), task, "a")
-            need("cycle", sc.cycles, a.get("b"), task, "b")
-            prefix = a.get("prefix")
-            if prefix is None:
-                diags.append(Diagnostic(task.line, "compare-towers needs prefix"))
-            else:
-                try:
-                    k = int(prefix)
-                    if not 0 <= k < len(sc.steps):
-                        raise ValueError
-                except ValueError:
-                    diags.append(Diagnostic(
-                        task.line,
-                        f"prefix must lie in 0..{max(len(sc.steps) - 1, 0)}, got {prefix!r}"))
-            rules = (r.strip() for r in a.get("rules", "images").split(","))
-            bad = [r for r in rules if r and r not in RULES]
-            if bad:
-                diags.append(Diagnostic(task.line, f"unknown rules {bad} (have {list(RULES)})"))
-        elif task.kind == "incidence":
-            need("cycle", sc.cycles, a.get("a"), task, "a")
-            need("cycle", sc.cycles, a.get("b"), task, "b")
+        for key, (what, pool) in pools.items():
+            if key in a and a[key] not in pool:
+                diags.append(Diagnostic(task.line, f"unknown {what} {a[key]!r}"))
+        if "prefix" in a and not 0 <= a["prefix"] < len(sc.steps):
+            diags.append(Diagnostic(
+                task.line, f"prefix must lie in 0..{max(len(sc.steps) - 1, 0)}, got {a['prefix']}"))
+        fam = sc.families.get(a.get("family"))
+        if fam is not None and len(fam.marked) < 2:
+            diags.append(Diagnostic(
+                task.line, f"family {fam.name!r} needs at least two marked values to audit"))
+        if task.kind == "incidence":
             if sc.kind != "projective":
                 diags.append(Diagnostic(task.line, "incidence tasks need a projective space"))
-        for key in ("allow_noncomplementary", "allow_nonstandard", "expect_agree", "expect_smooth"):
-            if key in a and a[key] not in ("true", "false"):
-                diags.append(Diagnostic(task.line, f"{key} must be true or false"))
+            for point in a.get("expect", ()):
+                if len(point) != len(sc.ring.names):
+                    diags.append(Diagnostic(
+                        task.line, f"expected point has {len(point)} coordinates, "
+                                   f"the ring has {len(sc.ring.names)} variables"))
 
 
 def parse_scenario(path: str | Path) -> Scenario:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from singpair.errors import FactorScopeError
-from singpair.factor import factor, is_irreducible, rational_roots, squarefree_part
+from singpair.factor import factor, is_irreducible
 from singpair.polyring import PolynomialRing
 
 
@@ -124,15 +124,6 @@ def test_multivariate_scope_gate():
         factor(R2.parse("x^5 + y^5 + 1"))
     with pytest.raises(FactorScopeError):
         factor(R4.parse("x*y*z*t"))
-
-
-def test_squarefree_part():
-    assert squarefree_part(R2.parse("(x - y)^2 * (x + y)")) == R2.parse("(x - y)*(x + y)")
-
-
-def test_rational_roots():
-    f = R1.parse("(x - 1)*(x + 2)*(2*x - 1)*(x^2 + 1)")
-    assert rational_roots(f) == [Fraction(-2), Fraction(1, 2), Fraction(1)]
 
 
 def test_fraction_coefficients_bivariate():

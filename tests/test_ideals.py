@@ -543,7 +543,6 @@ def test_interreduce_matches_fixpoint_reference(order):
         with reduction_budget(10**6) as old_meter:
             want, passes = reference_interreduce(polys)
         assert got == want
-        assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
         assert new_meter.used == old_meter.used
         seen_passes.add(passes)
         steps += old_meter.used

@@ -145,6 +145,25 @@ class TestValidation:
         diags = validate_scenario(scn(tmp_path, text))
         assert any("must be true or false" in d.message for d in diags)
 
+    @pytest.mark.parametrize("scenario, old, new, fragment", [
+        ("affine_quadric_cone", "expect = pass", "expect = passs", "expect must be pass or fail"),
+        ("affine_quadric_cone", "expect = 0,0,1", "expect = 0;0", "expect must be a perversity"),
+        ("projective_closure", "expect = [1:0:0:0:0]", "expect = [1:0:0:0]",
+         "expected point has 4 coordinates, the ring has 5"),
+        ("affine_quadric_cone", "mode = weak", "mode = waek", "mode must be weak or strong"),
+        ("affine_quadric_cone", "expect = CONSISTENT", "expect = CONSISTNET",
+         "expect must be CONSISTENT or DEGREE_ONLY"),
+    ], ids=["check-expect", "minimal-expect", "incidence-arity", "audit-mode", "audit-expect"])
+    def test_task_values_run_could_not_meet(self, tmp_path, capsys, scenario, old, new, fragment):
+        text = (CORPUS / f"{scenario}.scn").read_text()
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        line = next(n for n, raw in enumerate(text.splitlines(), start=1) if new in raw)
+        path = scn(tmp_path, text)
+        self.check(tmp_path, text, line, fragment)
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}:{line}: " in capsys.readouterr().out
+
     def test_diagnostics_come_sorted_by_line(self, tmp_path):
         text = "[ring]\nvars = x\n[tasks]\nt: kind = summon\nu: nonsense\n"
         diags = validate_scenario(scn(tmp_path, text))
