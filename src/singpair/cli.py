@@ -4,7 +4,7 @@ Subcommands: run (all tasks), validate (no computation), and stratify /
 pair / audit / compare-towers, which run only the tasks of that kind.
 Exit codes: 0 all tasks succeeded and every audit matched its expected
 verdict, 1 a task failed or missed an expectation, 2 the scenario file
-did not validate, 3 a reduction budget ran out.
+could not be read or did not validate, 3 a reduction budget ran out.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def _write_json(report: dict, path: str) -> None:
             for row in report["tasks"]
         ],
     }
-    Path(path).write_text(json.dumps(slim, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(slim, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,31 +354,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validate(path: Path, json_path: str | None) -> int:
+    diags = validate_scenario(path)
+    for d in diags:
+        print(d.render(str(path)))
+    if not diags:
+        print(f"{path}: ok")
+    if json_path:
+        report = {
+            "scenario": path.stem,
+            "version": __version__,
+            "diagnostics": [{"line": d.line, "message": d.message} for d in diags],
+        }
+        Path(json_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                   encoding="utf-8")
+    return 2 if diags else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     path = Path(args.scenario)
-    if not path.exists():
-        print(f"{path}: no such scenario file", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        diags = validate_scenario(path)
-        for d in diags:
-            print(d.render(str(path)))
-        if not diags:
-            print(f"{path}: ok")
-        if args.json:
-            report = {
-                "scenario": path.stem,
-                "version": __version__,
-                "diagnostics": [{"line": d.line, "message": d.message} for d in diags],
-            }
-            Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return 2 if diags else 0
-
     try:
+        if args.command == "validate":
+            return _validate(path, args.json)
         scenario = parse_scenario(path)
-    except ScenarioError as e:
+    except ScenarioError as e:  # also a file that cannot be read
         print(str(e), file=sys.stderr)
         return 2
 

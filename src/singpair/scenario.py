@@ -4,14 +4,17 @@ A scenario declares a ring, a space, a tower of blowup centers, named
 stratifications, cycles, families, and a list of tasks.  Sections are
 headed [ring], [space], [tower], [strata], [cycles], [families], [tasks].
 Lines in [ring] and [space] are `key = value`; lines everywhere else are
-`name: key = value | key = value | ...` with `|` separating fields and a
-repeated key collecting into a list.  Polynomial lists separate their
-generators with `;`.  `#` starts a comment.
+`name: key = value | key = value | ...` with `|` separating fields.  A key
+is given at most once per line (once per section in [ring] and [space]);
+only a [strata] `piece` may repeat, each copy adding one piece.  Names are
+nonempty.  Polynomial lists separate their generators with `;`.  `#` starts
+a comment.
 
-Task arguments are parsed here, by one table (TASK_ARGS), so a value that
-validates is one a run can use.  Parsing and validation never run Groebner
-bases; building towers and stratifications is deferred to the workspace so
-that the cost lands on the task that asked for it.
+Every section is read by one reader from a table of key -> (parser,
+default), task arguments from TASK_ARGS, so a value that validates is one a
+run can use.  Parsing and validation never run Groebner bases; building
+towers and stratifications is deferred to the workspace so that the cost
+lands on the task that asked for it.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .strata import PRESETS, RULES, Stratification
 SECTIONS = ("ring", "space", "tower", "strata", "cycles", "families", "tasks")
 
 
-# -- task arguments -------------------------------------------------------------
+# -- field values ---------------------------------------------------------------
 #
-# Each parser turns an argument's text into the value the runner uses, or
-# raises ValueError with the rest of a sentence that starts with the key.
+# Each parser turns a field's text into the value it stands for, or raises
+# ValueError with the rest of a sentence that starts with the key, or
+# ScenarioError with a whole message.
 
 
 def _one_of(*values: str) -> Callable[[str], str]:
@@ -58,6 +62,26 @@ def _integer(text: str) -> int:
         raise ValueError(f"must be an integer, got {text!r}") from None
 
 
+def _positive(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _name(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
+def _variables(text: str) -> tuple[str, ...]:
+    names = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"must be distinct and nonempty, got {text!r}")
+    return names
+
+
 def _rules(text: str) -> tuple[str, ...]:
     parts = tuple(r.strip() for r in text.split(",") if r.strip())
     bad = [r for r in parts if r not in RULES]
@@ -66,14 +90,34 @@ def _rules(text: str) -> tuple[str, ...]:
     return parts
 
 
+def _preset(text: str) -> tuple[str, ...]:
+    """The rules a named preset stands for."""
+    if text not in PRESETS:
+        raise ValueError(f"names an unknown preset {text!r} (have {sorted(PRESETS)})")
+    return PRESETS[text]
+
+
+def _perversity(text: str) -> Perversity:
+    try:
+        return Perversity(tuple(int(v) for v in text.split(",")))
+    except (ValueError, PerversityError) as e:
+        raise ValueError(
+            f"must be a perversity such as 0,0,1 (bad perversity {text!r}: {e})") from None
+
+
 def _perversity_or_none(text: str) -> str:
     """Canonical perversity text such as `0,0,1`, or `none`."""
-    if text == "none":
-        return text
+    return text if text == "none" else str(_perversity(text))
+
+
+def _marked(text: str) -> tuple[Fraction, ...]:
     try:
-        return str(Perversity(tuple(int(v) for v in text.split(","))))
-    except (ValueError, PerversityError):
-        raise ValueError(f"must be a perversity such as 0,0,1 or none, got {text!r}") from None
+        values = tuple(Fraction(v.strip()) for v in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"must be numbers such as 0, 1, got {text!r}") from None
+    if len(set(values)) != len(values):
+        raise ValueError(f"must be distinct, got {text!r}")
+    return values
 
 
 def _points(text: str) -> list[tuple[Fraction, ...]]:
@@ -93,13 +137,34 @@ def _points(text: str) -> list[tuple[Fraction, ...]]:
     return points
 
 
-_REQUIRED = object()  # default of an argument a task must give
+def _gens(ring: PolynomialRing, at_least: int = 0) -> Callable[[str], tuple[Polynomial, ...]]:
+    """A parser of `;`-separated generators in `ring`."""
 
-# kind -> argument -> (parser, default); a default of None leaves the
-# argument out of Task.args when the task does not give it
-_NAME = (str, _REQUIRED)
+    def parse(text: str) -> tuple[Polynomial, ...]:
+        gens = []
+        for part in text.split(";"):
+            part = part.strip()
+            if part:
+                try:
+                    gens.append(ring.parse(part))
+                except (PolyParseError, KeyError) as e:
+                    raise ScenarioError(f"bad polynomial {part!r}: {e}") from None
+        if len(gens) < at_least:
+            raise ValueError(f"needs at least {at_least} generator{'s' * (at_least > 1)}")
+        return tuple(gens)
+
+    return parse
+
+
+_REQUIRED = object()  # default of a key an entry must give
+
+# key -> (parser, default); a default of None leaves the key out of what
+# the reader returns when the entry does not give it
+Fields = dict[str, tuple[Callable[[str], object], object]]
+
+_NAME = (_name, _REQUIRED)
 _FLAG = (_flag, False)
-TASK_ARGS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
+TASK_ARGS: dict[str, Fields] = {
     "stratify": {"strat": _NAME},
     "check": {"cycle": _NAME, "strat": _NAME, "expect": (_one_of("pass", "fail"), "pass")},
     "minimal": {"cycle": _NAME, "strat": _NAME, "expect": (_perversity_or_none, None)},
@@ -121,6 +186,16 @@ TASK_ARGS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "incidence": {"a": _NAME, "b": _NAME, "expect": (_points, None)},
     "audit-tower": {"expect_smooth": (_flag, None)},
 }
+
+
+def _task_kind(text: str) -> str:
+    if text not in TASK_ARGS:
+        raise ValueError(f"names an unknown task kind {text!r} (have {list(TASK_ARGS)})")
+    return text
+
+
+_RING: Fields = {"vars": (_variables, None), "order": (_one_of("grevlex", "lex"), "grevlex")}
+_TASK: Fields = {"kind": (_task_kind, _REQUIRED)}
 
 
 @dataclass
@@ -156,19 +231,22 @@ class Scenario:
 
 # -- low-level line structure ---------------------------------------------------
 
+Pairs = list[tuple[int, str, str]]  # (line, key, value text)
 
-def _split_fields(body: str) -> list[tuple[str, str]]:
+
+def _split_fields(n: int, body: str) -> Pairs:
     fields = []
     for chunk in body.split("|"):
         if "=" not in chunk:
             raise ValueError(f"expected key = value, got {chunk.strip()!r}")
         key, _, value = chunk.partition("=")
-        fields.append((key.strip(), value.strip()))
+        fields.append((n, key.strip(), value.strip()))
     return fields
 
 
-def _structure(text: str, diags: list[Diagnostic]) -> dict[str, list[tuple[int, str, str | None]]]:
-    """Section -> list of (line_no, name_or_key, body); body None for key=value lines."""
+def _structure(text: str, diags: list[Diagnostic]) -> dict[str, list]:
+    """Section -> its (line, key, value) pairs for [ring] and [space], and
+    its (line, name, pairs) entries for every other section."""
     out: dict[str, list] = {s: [] for s in SECTIONS}
     section = None
     seen = set()
@@ -204,257 +282,142 @@ def _structure(text: str, diags: list[Diagnostic]) -> dict[str, list[tuple[int, 
                 diags.append(Diagnostic(n, f"expected name: fields in [{section}]"))
                 continue
             name, _, body = line.partition(":")
-            out[section].append((n, name.strip(), body.strip()))
+            try:
+                out[section].append((n, name.strip(), _split_fields(n, body)))
+            except ValueError as e:
+                diags.append(Diagnostic(n, str(e)))
     return out
 
 
 # -- semantic assembly ----------------------------------------------------------
 
 
-def _parse_fields(n: int, body: str, allowed: set[str], diags: list[Diagnostic]) -> dict[str, list[str]]:
-    fields: dict[str, list[str]] = {}
-    try:
-        pairs = _split_fields(body)
-    except ValueError as e:
-        diags.append(Diagnostic(n, str(e)))
-        return fields
-    for key, value in pairs:
-        if key not in allowed:
-            diags.append(Diagnostic(n, f"unknown key {key!r} (allowed: {sorted(allowed)})"))
+def _read(n: int, pairs: Pairs, fields: Fields, what: str, diags: list[Diagnostic],
+          many: tuple[str, ...] = ()) -> tuple[dict[str, object], bool]:
+    """One entry's values, each pair parsed by fields[key] = (parser,
+    default), and whether they all read.  A key in `many` may repeat and
+    collects into a tuple.  Unknown, repeated, unparsable and missing keys
+    are diagnostics on their lines (a missing key on line n, as one that
+    `what` needs); a key left without a value takes its default."""
+    before = len(diags)
+    args: dict[str, object] = {}
+    seen = set()
+    for line, key, text in pairs:
+        if key not in fields:
+            diags.append(Diagnostic(line, f"unknown key {key!r} (allowed: {sorted(fields)})"))
             continue
-        fields.setdefault(key, []).append(value)
-    return fields
-
-
-def _single(fields: dict[str, list[str]], key: str) -> str | None:
-    values = fields.get(key)
-    return values[-1] if values else None
-
-
-def _gens(ring: PolynomialRing, text: str, n: int, diags: list[Diagnostic]) -> tuple[Polynomial, ...] | None:
-    gens = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
+        if key in seen and key not in many:
+            diags.append(Diagnostic(line, f"repeated key {key!r}"))
             continue
+        seen.add(key)
         try:
-            gens.append(ring.parse(part))
-        except (PolyParseError, KeyError) as e:
-            diags.append(Diagnostic(n, f"bad polynomial {part!r}: {e}"))
-            return None
-    return tuple(gens)
-
-
-def _perversity(text: str, n: int, diags: list[Diagnostic]) -> Perversity | None:
-    try:
-        return Perversity(tuple(int(v) for v in text.split(",")))
-    except (ValueError, PerversityError) as e:
-        diags.append(Diagnostic(n, f"bad perversity {text!r}: {e}"))
-        return None
+            value = fields[key][0](text)
+        except ValueError as e:
+            diags.append(Diagnostic(line, f"{key} {e}"))
+            continue
+        except ScenarioError as e:
+            diags.append(Diagnostic(line, str(e)))
+            continue
+        args[key] = args.get(key, ()) + (value,) if key in many else value
+    for key, (_, default) in fields.items():
+        if key in args:
+            continue
+        if default is _REQUIRED:
+            if key not in seen:
+                diags.append(Diagnostic(n, f"{what} needs {key}"))
+        elif default is not None:
+            args[key] = default
+    return args, len(diags) == before
 
 
 def _assemble(text: str, name: str, path: str, diags: list[Diagnostic]) -> Scenario | None:
     sections = _structure(text, diags)
 
-    names: tuple[str, ...] | None = None
-    order = "grevlex"
-    for n, key, value in sections["ring"]:
-        if key == "vars":
-            parts = tuple(v.strip() for v in value.split(",") if v.strip())
-            if len(set(parts)) != len(parts) or not parts:
-                diags.append(Diagnostic(n, "ring variables must be distinct and nonempty"))
-            else:
-                names = parts
-        elif key == "order":
-            if value not in ("grevlex", "lex"):
-                diags.append(Diagnostic(n, f"order is grevlex or lex, got {value!r}"))
-            else:
-                order = value
-        else:
-            diags.append(Diagnostic(n, f"unknown [ring] key {key!r}"))
-    ring = PolynomialRing(names, MonomialOrder(order)) if names else None
-    if ring is None:
-        first = sections["ring"][0][0] if sections["ring"] else 1
+    first = sections["ring"][0][0] if sections["ring"] else 1
+    ring_args, _ = _read(first, sections["ring"], _RING, "[ring]", diags)
+    if "vars" not in ring_args:
         diags.append(Diagnostic(first, "missing [ring] vars declaration"))
         return None
+    ring = PolynomialRing(ring_args["vars"], MonomialOrder(ring_args["order"]))
+    gens = _gens(ring)
 
-    kind = "affine"
-    relations: tuple[Polynomial, ...] = ()
-    for n, key, value in sections["space"]:
-        if key == "kind":
-            if value not in ("affine", "projective"):
-                diags.append(Diagnostic(n, f"space kind is affine or projective, got {value!r}"))
-            else:
-                kind = value
-        elif key == "relations":
-            gens = _gens(ring, value, n, diags)
-            if gens is not None:
-                relations = gens
-        else:
-            diags.append(Diagnostic(n, f"unknown [space] key {key!r}"))
+    space_fields: Fields = {"kind": (_one_of("affine", "projective"), "affine"),
+                            "relations": (gens, ())}
+    space, _ = _read(first, sections["space"], space_fields, "[space]", diags)
 
     taken: dict[str, int] = {}
 
-    def claim(nm: str, n: int) -> bool:
-        if nm in taken:
-            diags.append(Diagnostic(n, f"name {nm!r} already used on line {taken[nm]}"))
-            return False
-        taken[nm] = n
-        return True
+    def claimed(section: str, what: str):
+        """(line, name, pairs) of each entry whose name is nonempty and free."""
+        for n, nm, pairs in sections[section]:
+            if not nm:
+                diags.append(Diagnostic(n, f"{what} needs a name before ':'"))
+            elif nm in taken:
+                diags.append(Diagnostic(n, f"name {nm!r} already used on line {taken[nm]}"))
+            else:
+                taken[nm] = n
+                yield n, nm, pairs
 
-    steps = []
-    for n, nm, body in sections["tower"]:
-        if not claim(nm, n):
-            continue
-        fields = _parse_fields(n, body, {"center"}, diags)
-        center = _single(fields, "center")
-        if center is None:
-            diags.append(Diagnostic(n, "tower step needs a center"))
-            continue
-        gens = _gens(ring, center, n, diags)
-        if gens is None:
-            continue
-        if len(gens) < 2:
-            diags.append(Diagnostic(
-                n, "center needs at least 2 generators (a codim >= 2 regular sequence)"))
-            continue
-        steps.append((nm, gens))
+    def entries(section: str, fields: Fields, what: str, many: tuple[str, ...] = ()):
+        """(line, name, values) of each claimed entry whose fields read."""
+        for n, nm, pairs in claimed(section, what):
+            args, ok = _read(n, pairs, fields, what, diags, many)
+            if ok:
+                yield n, nm, args
+
+    center: Fields = {"center": (_gens(ring, 2), _REQUIRED)}
+    steps = [(nm, args["center"]) for _, nm, args in entries("tower", center, "tower step")]
 
     strata: dict[str, dict] = {}
-    for n, nm, body in sections["strata"]:
-        if not claim(nm, n):
+    strat_fields: Fields = {"rules": (_rules, None), "preset": (_preset, None),
+                            "piece": (lambda text: Ideal(ring, gens(text)), ())}
+    for n, nm, args in entries("strata", strat_fields, "stratification", many=("piece",)):
+        if "rules" in args and "preset" in args:
+            diags.append(Diagnostic(n, "give rules or preset, not both"))
             continue
-        fields = _parse_fields(n, body, {"rules", "preset", "piece"}, diags)
-        spec: dict = {}
-        rules = _single(fields, "rules")
-        if rules is not None:
-            try:
-                spec["rules"] = _rules(rules)
-            except ValueError as e:
-                diags.append(Diagnostic(n, f"rules {e}"))
-                continue
-        preset = _single(fields, "preset")
-        if preset is not None:
-            if preset not in PRESETS:
-                diags.append(Diagnostic(n, f"unknown preset {preset!r} (have {sorted(PRESETS)})"))
-                continue
-            spec["preset"] = preset
-        pieces = []
-        for value in fields.get("piece", []):
-            gens = _gens(ring, value, n, diags)
-            if gens is not None:
-                pieces.append(Ideal(ring, gens))
-        if pieces:
-            spec["user_pieces"] = tuple(pieces)
+        spec = {"user_pieces": args["piece"]}
+        for key in ("rules", "preset"):
+            if key in args:
+                spec["rules"] = args[key]
         strata[nm] = spec
 
-    cycles: dict[str, Cycle] = {}
-    for n, nm, body in sections["cycles"]:
-        if not claim(nm, n):
-            continue
-        fields = _parse_fields(n, body, {"gens", "perversity", "mult"}, diags)
-        gens_text = _single(fields, "gens")
-        if gens_text is None:
-            diags.append(Diagnostic(n, "cycle needs gens"))
-            continue
-        gens = _gens(ring, gens_text, n, diags)
-        if gens is None or not gens:
-            if gens is not None:
-                diags.append(Diagnostic(n, "cycle needs at least one generator"))
-            continue
-        perversity = None
-        ptext = _single(fields, "perversity")
-        if ptext is not None:
-            perversity = _perversity(ptext, n, diags)
-            if perversity is None:
-                continue
-        mult = 1
-        mtext = _single(fields, "mult")
-        if mtext is not None:
-            try:
-                mult = int(mtext)
-                if mult < 1:
-                    raise ValueError
-            except ValueError:
-                diags.append(Diagnostic(n, f"bad multiplicity {mtext!r}"))
-                continue
-        cycles[nm] = Cycle(nm, Ideal(ring, gens), perversity, mult)
+    cycle_fields: Fields = {"gens": (_gens(ring, 1), _REQUIRED),
+                            "perversity": (_perversity, None), "mult": (_positive, 1)}
+    cycles = {
+        nm: Cycle(nm, Ideal(ring, args["gens"]), args.get("perversity"), args["mult"])
+        for _, nm, args in entries("cycles", cycle_fields, "cycle")
+    }
 
     families: dict[str, CycleFamily] = {}
-    for n, nm, body in sections["families"]:
-        if not claim(nm, n):
-            continue
-        fields = _parse_fields(n, body, {"total", "param", "marked", "perversity"}, diags)
-        param = _single(fields, "param")
-        total_text = _single(fields, "total")
-        marked_text = _single(fields, "marked")
-        if param is None or total_text is None or marked_text is None:
-            diags.append(Diagnostic(n, "family needs total, param, and marked"))
-            continue
+    family_fields: Fields = {"total": (str, _REQUIRED), "param": _NAME,
+                             "marked": (_marked, _REQUIRED), "perversity": (_perversity, None)}
+    for n, nm, args in entries("families", family_fields, "family"):
+        param = args["param"]
         if param in ring.names:
             diags.append(Diagnostic(n, f"parameter {param!r} collides with a ring variable"))
             continue
-        extended = PolynomialRing(ring.names + (param,), ring.order)
-        gens = _gens(extended, total_text, n, diags)
-        if gens is None or not gens:
-            continue
-        try:
-            marked = tuple(Fraction(v.strip()) for v in marked_text.split(","))
-        except (ValueError, ZeroDivisionError):
-            diags.append(Diagnostic(n, f"bad marked values {marked_text!r}"))
-            continue
-        if len(set(marked)) != len(marked):
-            diags.append(Diagnostic(n, "marked values must be distinct"))
-            continue
-        perversity = None
-        ptext = _single(fields, "perversity")
-        if ptext is not None:
-            perversity = _perversity(ptext, n, diags)
-            if perversity is None:
-                continue
-        if kind == "projective":
+        if space["kind"] == "projective":
             diags.append(Diagnostic(n, "families need an affine space; dehomogenize first"))
             continue
-        families[nm] = CycleFamily(nm, Ideal(extended, gens), param, marked, perversity)
+        extended = PolynomialRing(ring.names + (param,), ring.order)
+        total, ok = _read(n, [(n, "total", args["total"])],
+                          {"total": (_gens(extended, 1), _REQUIRED)}, "family", diags)
+        if ok:
+            families[nm] = CycleFamily(nm, Ideal(extended, total["total"]), param,
+                                       args["marked"], args.get("perversity"))
 
     tasks: list[Task] = []
-    for n, nm, body in sections["tasks"]:
-        if not claim(nm, n):
-            continue
-        try:
-            pairs = _split_fields(body)
-        except ValueError as e:
-            diags.append(Diagnostic(n, str(e)))
-            continue
-        given = dict(pairs)
-        task_kind = given.pop("kind", None)
-        if task_kind is None:
-            diags.append(Diagnostic(n, "task needs a kind"))
-            continue
-        spec = TASK_ARGS.get(task_kind)
-        if spec is None:
-            diags.append(Diagnostic(n, f"unknown task kind {task_kind!r} (have {list(TASK_ARGS)})"))
-            continue
-        unknown = set(given) - set(spec)
-        if unknown:
-            diags.append(Diagnostic(
-                n, f"unknown keys {sorted(unknown)} for {task_kind} (allowed: {sorted(spec)})"))
-            continue
-        args: dict[str, object] = {}
-        for key, (parse, default) in spec.items():
-            if key in given:
-                try:
-                    args[key] = parse(given[key])
-                except ValueError as e:
-                    diags.append(Diagnostic(n, f"{key} {e}"))
-            elif default is _REQUIRED:
-                diags.append(Diagnostic(n, f"{task_kind} task needs {key}"))
-            elif default is not None:
-                args[key] = default
-        tasks.append(Task(nm, task_kind, args, n))
+    for n, nm, pairs in claimed("tasks", "task"):
+        head, ok = _read(n, [p for p in pairs if p[1] == "kind"], _TASK, "task", diags)
+        if ok:
+            kind = head["kind"]
+            args, ok = _read(n, [p for p in pairs if p[1] != "kind"], TASK_ARGS[kind],
+                             f"{kind} task", diags)
+            if ok:
+                tasks.append(Task(nm, kind, args, n))
 
     scenario = Scenario(
-        name=name, path=path, ring=ring, kind=kind, relations=relations,
+        name=name, path=path, ring=ring, kind=space["kind"], relations=space["relations"],
         steps=steps, strata=strata, cycles=cycles, families=families, tasks=tasks,
     )
     _check_references(scenario, diags)
@@ -488,11 +451,18 @@ def _check_references(sc: Scenario, diags: list[Diagnostic]) -> None:
                                    f"the ring has {len(sc.ring.names)} variables"))
 
 
+def _text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ScenarioError(f"{path}: cannot read: {e}") from None
+
+
 def parse_scenario(path: str | Path) -> Scenario:
     """Parse a scenario file, raising on the first problem found."""
     path = Path(path)
     diags: list[Diagnostic] = []
-    scenario = _assemble(path.read_text(), path.stem, str(path), diags)
+    scenario = _assemble(_text(path), path.stem, str(path), diags)
     if diags:
         first = min(diags, key=lambda d: d.line)
         raise ScenarioError(first.render(str(path)))
@@ -501,10 +471,11 @@ def parse_scenario(path: str | Path) -> Scenario:
 
 
 def validate_scenario(path: str | Path) -> list[Diagnostic]:
-    """All grammar, reference, and invariant problems; never computes."""
+    """All grammar, reference, and invariant problems; never computes.
+    Raises ScenarioError if the file cannot be read."""
     path = Path(path)
     diags: list[Diagnostic] = []
-    _assemble(path.read_text(), path.stem, str(path), diags)
+    _assemble(_text(path), path.stem, str(path), diags)
     diags.sort(key=lambda d: d.line)
     return diags
 

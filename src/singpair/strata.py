@@ -29,8 +29,9 @@ Rules:
   components       post-pass: split every collected piece into the visibly
                    irreducible components of its generators
 
-Presets bundle rules for the two recurring shapes: curves of singularities
-on a threefold, and cones appearing in one higher dimension.
+PRESETS names rule tuples for the two recurring shapes: curves of
+singularities on a threefold, and cones appearing in one higher dimension;
+pass one as `rules`.
 """
 
 from __future__ import annotations
@@ -123,12 +124,7 @@ class Stratification:
         tower: ResolutionTower,
         rules: tuple[str, ...] = ("images",),
         user_pieces: tuple[Ideal, ...] = (),
-        preset: str | None = None,
     ) -> None:
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-            rules = PRESETS[preset]
         for rule in rules:
             if rule not in RULES:
                 raise ValueError(f"unknown rule {rule!r}; have {RULES}")

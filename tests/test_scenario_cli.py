@@ -37,7 +37,7 @@ meet: kind = pair | a = H | b = V | strat = main | expect_degree = 1
 
 def scn(tmp_path, text: str, name: str = "case.scn") -> Path:
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -155,7 +155,7 @@ class TestValidation:
          "expect must be CONSISTENT or DEGREE_ONLY"),
     ], ids=["check-expect", "minimal-expect", "incidence-arity", "audit-mode", "audit-expect"])
     def test_task_values_run_could_not_meet(self, tmp_path, capsys, scenario, old, new, fragment):
-        text = (CORPUS / f"{scenario}.scn").read_text()
+        text = (CORPUS / f"{scenario}.scn").read_text(encoding="utf-8")
         assert text.count(old) == 1
         text = text.replace(old, new)
         line = next(n for n, raw in enumerate(text.splitlines(), start=1) if new in raw)
@@ -163,6 +163,47 @@ class TestValidation:
         self.check(tmp_path, text, line, fragment)
         assert main(["validate", str(path)]) == 2
         assert f"{path}:{line}: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("old, new, repeat, key", [
+        ("vars = x, y\n", "vars = x, y\nvars = x, y, z\n", "vars = x, y, z", "vars"),
+        ("kind = affine\n", "kind = affine\nkind = projective\n", "kind = projective", "kind"),
+        ("center = x; y", "center = x; y | center = y; x", "center = y; x", "center"),
+        ("main: rules = images", "main: rules = images | rules = fibers", "rules = fibers",
+         "rules"),
+        ("perversity = 0,0\n", "perversity = 0,0 | perversity = 0,1\n", "H: gens", "perversity"),
+        ("[tasks]", "[families]\nF: total = x - l | param = l | marked = 0, 1 | marked = 0, 2\n"
+         "[tasks]", "marked = 0, 2", "marked"),
+        ("expect_degree = 1", "expect_degree = 1 | expect_degree = 7", "expect_degree = 7",
+         "expect_degree"),
+    ], ids=["ring", "space", "tower", "strata", "cycles", "families", "tasks"])
+    def test_repeated_key_is_rejected(self, tmp_path, capsys, old, new, repeat, key):
+        assert PLANE.count(old) == 1
+        text = PLANE.replace(old, new)
+        line = next(n for n, raw in enumerate(text.splitlines(), start=1) if repeat in raw)
+        path = scn(tmp_path, text)
+        self.check(tmp_path, text, line, f"repeated key {key!r}")
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}:{line}: repeated key {key!r}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fields, fragment", [
+        ("rules = images | preset = curve_recipe", "give rules or preset, not both"),
+        ("preset = nope", "preset names an unknown preset 'nope'"),
+    ], ids=["rules-and-preset", "unknown-preset"])
+    def test_strata_rules_or_one_known_preset(self, tmp_path, capsys, fields, fragment):
+        text = PLANE.replace("main: rules = images", f"main: {fields}")
+        self.check(tmp_path, text, 12, fragment)
+        assert main(["validate", str(scn(tmp_path, text))]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("old, new, line, fragment", [
+        ("H: gens", ": gens", 15, "cycle needs a name before ':'"),
+        ("a = H", "a = ", 19, "a must not be empty"),
+    ], ids=["entry", "argument"])
+    def test_names_are_nonempty(self, tmp_path, capsys, old, new, line, fragment):
+        text = PLANE.replace(old, new)
+        self.check(tmp_path, text, line, fragment)
+        assert main(["run", str(scn(tmp_path, text))]) == 2
+        assert f":{line}: {fragment}" in capsys.readouterr().err
 
     def test_diagnostics_come_sorted_by_line(self, tmp_path):
         text = "[ring]\nvars = x\n[tasks]\nt: kind = summon\nu: nonsense\n"
@@ -223,6 +264,25 @@ class TestCommandLine:
         assert main(["run", "/nonexistent/thing.scn"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, command):
+        undecodable = tmp_path / "latin1.scn"
+        undecodable.write_bytes((PLANE + "# caf\xe9\n").encode("latin-1"))
+        for path in (tmp_path, undecodable):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"{path}: cannot read")
+
+    def test_strata_piece_may_repeat(self, tmp_path, capsys):
+        text = PLANE.replace("main: rules = images",
+                             "main: rules = images | piece = x - 1; y | piece = x; y - 2")
+        text += "st: kind = stratify | strat = main\n"
+        out = tmp_path / "r.json"
+        assert main(["stratify", str(scn(tmp_path, text)), "--json", str(out)]) == 0
+        capsys.readouterr()
+        (row,) = json.loads(out.read_text(encoding="utf-8"))["tasks"]
+        pieces = [p["generators"] for p in row["payload"]["pieces"] if p["rule"] == "annotation"]
+        assert pieces == [["y", "x - 1"], ["y - 2", "x"]]
+
     def test_plane_scenario_runs_clean(self, capsys):
         code = main(["run", str(CORPUS / "smooth_blowup_plane.scn")])
         out = capsys.readouterr().out
@@ -264,7 +324,7 @@ class TestCommandLine:
         assert "error:complementarity" in out
 
     def test_allow_nonstandard_flag_fills_in_for_task_arg(self, tmp_path, capsys):
-        base = parse_text = (CORPUS / "affine_quadric_cone.scn").read_text()
+        base = parse_text = (CORPUS / "affine_quadric_cone.scn").read_text(encoding="utf-8")
         text = parse_text.replace(" | allow_nonstandard = true", "")
         assert " | allow_nonstandard = true" not in text
         path = scn(tmp_path, text)
@@ -292,7 +352,7 @@ class TestCommandLine:
         assert main(["run", path, "--json", str(a)]) == 0
         assert main(["run", path, "--json", str(b)]) == 0
         capsys.readouterr()
-        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        ra, rb = json.loads(a.read_text(encoding="utf-8")), json.loads(b.read_text(encoding="utf-8"))
         del ra["elapsed_ms"], rb["elapsed_ms"]
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
@@ -301,7 +361,7 @@ class TestCommandLine:
         out = tmp_path / "r.json"
         assert main(["run", path, "--json", str(out)]) == 0
         capsys.readouterr()
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["scenario"] == "nodal_image"
         assert {"name", "status", "payload", "counters"} <= set(report["tasks"][0])
         assert all(isinstance(t["counters"]["reduction_steps"], int) for t in report["tasks"])
@@ -324,7 +384,7 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert code == 1
         assert "error:empty_variety" in out
-        rows = {t["name"]: t for t in json.loads(report.read_text())["tasks"]}
+        rows = {t["name"]: t for t in json.loads(report.read_text(encoding="utf-8"))["tasks"]}
         assert rows["st"]["status"] == "error:empty_variety"
         assert rows["st"]["payload"]["message"] == "input variety is empty"
         assert set(rows) == {"st", "layout"}
@@ -332,13 +392,13 @@ class TestCommandLine:
     def test_variable_named_like_a_graph_tag(self, tmp_path, capsys):
         # "_b_" tags the input coordinates in the graph construction; a
         # variable "_b_x" collides with the tagged x unless the tag moves
-        text = (CORPUS / "affine_quadric_cone.scn").read_text()
+        text = (CORPUS / "affine_quadric_cone.scn").read_text(encoding="utf-8")
         reports = {}
         for name in ("_b_x", "w"):
             path = scn(tmp_path, re.sub(r"\bt\b", name, text), f"{name}.scn")
             out = tmp_path / f"{name}.json"
             assert main(["run", str(path), "--json", str(out)]) == 0
-            reports[name] = json.loads(out.read_text())["tasks"]
+            reports[name] = json.loads(out.read_text(encoding="utf-8"))["tasks"]
         capsys.readouterr()
         assert [t["status"] for t in reports["_b_x"]] == ["ok"] * len(reports["w"])
         for tagged, plain in zip(reports["_b_x"], reports["w"]):
@@ -357,7 +417,7 @@ def corpus_reports(folder: Path) -> str:
     for path in sorted(CORPUS.glob("*.scn")):
         out = folder / f"{path.stem}.json"
         assert main(["run", str(path), "--json", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         del report["elapsed_ms"]
         reports[path.stem] = report
     return json.dumps(reports, indent=2, sort_keys=True) + "\n"
@@ -368,6 +428,6 @@ def test_corpus_reports_match_golden_file(tmp_path, capsys):
     # bundled scenarios, byte for byte: a change that moves an answer or the
     # kernel's path shows here. Rewrite the file only for an intended change:
     #   PYTHONPATH=src:tests python -c "import pathlib, tempfile, test_scenario_cli as t; \
-    #     t.GOLDEN.write_text(t.corpus_reports(pathlib.Path(tempfile.mkdtemp())))"
-    assert corpus_reports(tmp_path) == GOLDEN.read_text()
+    #     t.GOLDEN.write_text(t.corpus_reports(pathlib.Path(tempfile.mkdtemp())), encoding='utf-8')"
+    assert corpus_reports(tmp_path) == GOLDEN.read_text(encoding="utf-8")
     capsys.readouterr()

@@ -72,8 +72,6 @@ class TestConeStratification:
     def test_unknown_rule_and_preset(self):
         with pytest.raises(ValueError):
             Stratification(cone_tower(), rules=("nope",))
-        with pytest.raises(ValueError):
-            Stratification(cone_tower(), preset="nope")
         assert set(PRESETS) == {"curve_recipe", "fourfold_recipe"}
 
 
@@ -95,7 +93,7 @@ class TestFourfold:
         ring = PolynomialRing(("x", "y", "z", "t", "w"))
         tower = ResolutionTower.affine(ring, (ring.parse("x^2 - y^2 + t*z^2"),))
         tower.blow_up((ring.var("x"), ring.var("y"), ring.var("z")))
-        strat = Stratification(tower, preset="fourfold_recipe")
+        strat = Stratification(tower, rules=PRESETS["fourfold_recipe"])
         assert strat.top == 4
         assert same_variety(strat.level(2)[0], Ideal.parse(ring, "x; y; z"))
         assert len(strat.level(3)) == 1
@@ -110,7 +108,7 @@ class TestNodalImages:
         tower.blow_up((ring.var("x"), ring.var("y"), ring.var("w")))
         curve = (ring.parse("y^2 - x^3 - x^2"), ring.var("w"))
         tower.blow_up(curve)
-        strat = Stratification(tower, preset="curve_recipe")
+        strat = Stratification(tower, rules=PRESETS["curve_recipe"])
         assert strat.top == 3
         w_ideal = Ideal(ring, curve)
         origin = Ideal.parse(ring, "x; y; w")
