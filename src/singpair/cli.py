@@ -21,7 +21,7 @@ from . import __version__
 from .cycles import ErrorComponent, Perversity, minimal_perversity, perversity_check
 from .errors import BudgetExceededError, PerversityError, ScenarioError, SingpairError
 from .geometry import PrimaryComponent, projective_rational_points
-from .ideals import DEFAULT_BUDGET, Ideal, reduction_budget
+from .ideals import DEFAULT_BUDGET, Ideal, groebner_memo, reduction_budget
 from .pairing import audit, compare_towers, pair, transform_cycle
 from .polyring import Polynomial
 from .scenario import Scenario, Task, Workspace, parse_scenario, validate_scenario
@@ -228,45 +228,52 @@ def _error_kind(exc: SingpairError) -> str:
     return "".join(out)
 
 
+def _task_row(ws: Workspace, task: Task, flags: Flags) -> dict:
+    """One task's report row, under its own reduction budget."""
+    t0 = time.monotonic()
+    status = "ok"
+    payload: dict = {"kind": task.kind}
+    try:
+        with reduction_budget(flags.budget) as meter:
+            payload.update(_RUNNERS[task.kind](ws, task, flags))
+            used = meter.used
+    except Expectation as e:
+        payload.update(e.payload)
+        status = "error:expectation"
+        used = meter.used
+    except BudgetExceededError as e:
+        payload["message"] = str(e)
+        status = "error:budget"
+        used = meter.used
+    except SingpairError as e:
+        payload["message"] = str(e)
+        status = f"error:{_error_kind(e)}"
+        used = meter.used
+    except ValueError as e:
+        payload["message"] = str(e)
+        status = "error:value"
+        used = meter.used
+    return {
+        "name": task.name,
+        "status": status,
+        "payload": jsonable(payload),
+        "counters": {"reduction_steps": used},
+        "ms": int((time.monotonic() - t0) * 1000),
+    }
+
+
 def run_tasks(scenario: Scenario, flags: Flags, kind: str | None = None) -> dict:
     """Execute the scenario's tasks in order, or only those of one kind,
-    and assemble the report."""
+    and assemble the report.
+
+    Each reduced basis is computed once per run (groebner_memo): the
+    workspace's charts, prefixes and tasks ask for many equal ideals, and
+    a basis already computed is charged to the first task that asked."""
     ws = Workspace(scenario)
     started = time.monotonic()
-    rows = []
-    for task in scenario.tasks:
-        if kind is not None and task.kind != kind:
-            continue
-        t0 = time.monotonic()
-        status = "ok"
-        payload: dict = {"kind": task.kind}
-        try:
-            with reduction_budget(flags.budget) as meter:
-                payload.update(_RUNNERS[task.kind](ws, task, flags))
-                used = meter.used
-        except Expectation as e:
-            payload.update(e.payload)
-            status = "error:expectation"
-            used = meter.used
-        except BudgetExceededError as e:
-            payload["message"] = str(e)
-            status = "error:budget"
-            used = meter.used
-        except SingpairError as e:
-            payload["message"] = str(e)
-            status = f"error:{_error_kind(e)}"
-            used = meter.used
-        except ValueError as e:
-            payload["message"] = str(e)
-            status = "error:value"
-            used = meter.used
-        rows.append({
-            "name": task.name,
-            "status": status,
-            "payload": jsonable(payload),
-            "counters": {"reduction_steps": used},
-            "ms": int((time.monotonic() - t0) * 1000),
-        })
+    with groebner_memo():
+        rows = [_task_row(ws, task, flags) for task in scenario.tasks
+                if kind is None or task.kind == kind]
     return {
         "scenario": scenario.name,
         "version": __version__,

@@ -28,6 +28,13 @@ return it unchanged and charge nothing. The bases groebner() returns store
 each distinct exponent tuple and coefficient once, shared within the basis
 and with recently built bases, which keeps bases cheap to hold on to. The
 interreduced input is used once inside the kernel and is not shared.
+
+Inside groebner_memo() each reduced basis is computed once: groebner()
+keys its nonzero generators, with their ring, and a later call with an
+equal list returns the stored basis and charges no step. The CLI opens
+one memo per scenario run, whose charts, tower prefixes and tasks ask
+for many equal ideals; outside a memo nothing is kept. A computation
+that raises (a budget running out) stores nothing.
 """
 
 from __future__ import annotations
@@ -85,6 +92,23 @@ def reduction_budget(limit: int) -> Iterator[_Meter]:
         yield meter
     finally:
         _active_meter.reset(token)
+
+
+# reduced bases by (ring, nonzero generators), shared by the computations of
+# one scenario run; None outside groebner_memo(), where nothing is kept
+_active_memo: ContextVar[dict | None] = ContextVar("singpair_memo", default=None)
+
+
+@contextmanager
+def groebner_memo() -> Iterator[dict]:
+    """Compute each reduced basis once within a block: a later groebner() of
+    an equal generator list returns the stored basis and charges no step."""
+    memo: dict = {}
+    token = _active_memo.set(memo)
+    try:
+        yield memo
+    finally:
+        _active_memo.reset(token)
 
 
 def _charge() -> None:
@@ -214,10 +238,22 @@ def _share_storage(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 
 
 def groebner(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """Reduced Groebner basis (monic, interreduced, ascending leading terms)."""
+    """Reduced Groebner basis (monic, interreduced, ascending leading terms),
+    from the open groebner_memo() when it holds an equal generator list."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
+    memo = _active_memo.get()
+    if memo is not None:
+        key = (gens[0].ring, tuple(gens))
+        basis = memo.get(key)
+        if basis is None:
+            basis = memo[key] = _reduced_basis(gens)
+        return basis
+    return _reduced_basis(gens)
+
+
+def _reduced_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     if _active_meter.get() is None:
         with reduction_budget(DEFAULT_BUDGET):
             return _share_storage(_buchberger(gens))

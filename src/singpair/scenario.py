@@ -75,8 +75,26 @@ def _name(text: str) -> str:
     return text
 
 
+_SPELLING = "a letter or _, then letters, digits or _"
+
+
+def _is_variable(name: str) -> bool:
+    """Whether the polynomial grammar reads name as one variable."""
+    return (name[:1].isalpha() or name[:1] == "_") and all(
+        c.isalnum() or c == "_" for c in name)
+
+
+def _variable(text: str) -> str:
+    if not _is_variable(text):
+        raise ValueError(f"must be a variable name ({_SPELLING}), got {text!r}")
+    return text
+
+
 def _variables(text: str) -> tuple[str, ...]:
     names = tuple(v.strip() for v in text.split(",") if v.strip())
+    bad = [v for v in names if not _is_variable(v)]
+    if bad:
+        raise ValueError(f"must be variable names ({_SPELLING}), got {bad}")
     if not names or len(set(names)) != len(names):
         raise ValueError(f"must be distinct and nonempty, got {text!r}")
     return names
@@ -84,6 +102,8 @@ def _variables(text: str) -> tuple[str, ...]:
 
 def _rules(text: str) -> tuple[str, ...]:
     parts = tuple(r.strip() for r in text.split(",") if r.strip())
+    if not parts:
+        raise ValueError(f"must name at least one rule (have {list(RULES)})")
     bad = [r for r in parts if r not in RULES]
     if bad:
         raise ValueError(f"names unknown rules {bad} (have {list(RULES)})")
@@ -336,7 +356,8 @@ def _assemble(text: str, name: str, path: str, diags: list[Diagnostic]) -> Scena
     first = sections["ring"][0][0] if sections["ring"] else 1
     ring_args, _ = _read(first, sections["ring"], _RING, "[ring]", diags)
     if "vars" not in ring_args:
-        diags.append(Diagnostic(first, "missing [ring] vars declaration"))
+        if not any(key == "vars" for _, key, _ in sections["ring"]):
+            diags.append(Diagnostic(first, "missing [ring] vars declaration"))
         return None
     ring = PolynomialRing(ring_args["vars"], MonomialOrder(ring_args["order"]))
     gens = _gens(ring)
@@ -389,7 +410,7 @@ def _assemble(text: str, name: str, path: str, diags: list[Diagnostic]) -> Scena
     }
 
     families: dict[str, CycleFamily] = {}
-    family_fields: Fields = {"total": (str, _REQUIRED), "param": _NAME,
+    family_fields: Fields = {"total": (str, _REQUIRED), "param": (_variable, _REQUIRED),
                              "marked": (_marked, _REQUIRED), "perversity": (_perversity, None)}
     for n, nm, args in entries("families", family_fields, "family"):
         param = args["param"]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from singpair import blowup
 from singpair.blowup import ResolutionTower, blowdown_image, proper_transform
 from singpair.errors import CenterError
 from singpair.geometry import singular_locus
@@ -292,3 +293,83 @@ def test_centers_move_up_as_the_one_shot_reference(case):
                 want = reference_center_on_chart(leaf, center)
                 assert got.ring == leaf.ring
                 assert got.groebner() == want.groebner(), (case, leaf.name, center)
+
+
+def reference_audit(tower):
+    """The audit before centers settled their exceptionals: the blowdown
+    image of every exceptional on every nonempty leaf, each one tested."""
+    report = {
+        "leaves": len(tower.leaves),
+        "nonempty_leaves": len(tower.nonempty_leaves()),
+        "steps": len(tower.steps),
+        "all_charts_smooth": tower.all_smooth(),
+    }
+    if not tower.projective:
+        base = Ideal(tower.input_ring, tower.input_relations)
+        sing = (Ideal(tower.input_ring, (tower.input_ring.one(),)) if base.is_zero()
+                else singular_locus(base))
+        over_singular = True
+        for leaf in tower.nonempty_leaves():
+            for e in leaf.exceptionals:
+                img = blowup.blowdown_image(leaf, leaf.relations.plus([e]), tower.input_ring)
+                if not img.is_trivial() and not img.variety_contained_in(sing):
+                    over_singular = False
+        report["exceptional_over_singular"] = over_singular
+    return report
+
+
+def umbrella_then_smooth_point():
+    # the Whitney umbrella blown up along its singular line, then at its
+    # smooth point x = t = 0, y = 1, which the first (pivot-x) chart does not
+    # see: that leaf's one exceptional lies over the line, and only the later
+    # leaves, over the pivot-y chart, have an exceptional over the point
+    return hand_tower(("y", "x", "t"), "x^2 - t*y^2", "x; y", "x; y - 1; t")
+
+
+AUDIT_CASES = {
+    **{
+        path.stem: lambda name=path.stem: corpus_prefixes(name)
+        for path in CORPUS.glob("*.scn")
+        if parse_scenario(path).kind == "affine"
+    },
+    "cone": lambda: [cone_tower()],
+    "plane": lambda: [TestSmoothPlane().plane_tower()],
+    "umbrella_then_smooth_point": umbrella_then_smooth_point,
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+def test_audit_matches_the_image_by_image_reference(case):
+    for tower in AUDIT_CASES[case]():
+        assert tower.audit() == reference_audit(tower), (case, len(tower.steps))
+
+
+def test_first_image_off_the_singular_locus_is_on_a_later_leaf():
+    tower = umbrella_then_smooth_point()[-1]
+    first, *later = tower.nonempty_leaves()
+    sing = singular_locus(Ideal(tower.input_ring, tower.input_relations))
+    for e in first.exceptionals:
+        img = blowdown_image(first, first.relations.plus([e]), tower.input_ring)
+        assert img.variety_contained_in(sing)
+    assert later
+    assert tower.audit()["exceptional_over_singular"] is False
+
+
+def test_audit_images_only_exceptionals_its_centers_leave_open(monkeypatch):
+    # tower_extension's first center is the singular line of the cone, so
+    # only the second step's exceptionals need an image, and the first of
+    # them already leaves the singular locus
+    calls = []
+    original = blowup.blowdown_image
+
+    def counting(*args):
+        calls.append(args[0].name)
+        return original(*args)
+
+    monkeypatch.setattr(blowup, "blowdown_image", counting)
+    tower = corpus_prefixes("tower_extension")[-1]
+    assert reference_audit(tower)["exceptional_over_singular"] is False
+    assert len(calls) == 24
+    calls.clear()
+    assert tower.audit()["exceptional_over_singular"] is False
+    assert len(calls) <= 2

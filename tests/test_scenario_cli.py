@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from singpair import ideals
 from singpair.blowup import ResolutionTower
-from singpair.cli import main
-from singpair.errors import ScenarioError
+from singpair.cli import Flags, main, run_tasks
+from singpair.errors import BudgetExceededError, ScenarioError
+from singpair.ideals import Ideal
+from singpair.polyring import PolynomialRing
 from singpair.scenario import Workspace, parse_scenario, validate_scenario
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "singpair" / "corpus"
@@ -204,6 +207,33 @@ class TestValidation:
         self.check(tmp_path, text, line, fragment)
         assert main(["run", str(scn(tmp_path, text))]) == 2
         assert f":{line}: {fragment}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, line, fragment", [
+        ("vars = x, y", "vars = x y, 2", 3, "vars must be variable names"),
+        ("[tasks]", "[families]\nF: total = x - l*y | param = l l | marked = 0, 1\n[tasks]", 19,
+         "param must be a variable name"),
+    ], ids=["vars", "param"])
+    def test_names_the_grammar_cannot_read_are_rejected(self, tmp_path, capsys, old, new, line,
+                                                         fragment):
+        # reported on the declaring line, not as an unknown variable later
+        assert PLANE.count(old) == 1
+        text = PLANE.replace(old, new)
+        diags = validate_scenario(scn(tmp_path, text))
+        assert [d.line for d in diags if fragment in d.message] == [line], diags
+        assert main(["validate", str(scn(tmp_path, text))]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("main: rules = images", "main: rules =", 12),
+        ("[tasks]\n", "[tasks]\ncmp: kind = compare-towers | a = H | b = V | prefix = 0 | rules = "
+         "\n", 19),
+    ], ids=["strata", "compare-towers"])
+    def test_empty_rule_list_is_rejected(self, tmp_path, capsys, old, new, line):
+        assert PLANE.count(old) == 1
+        text = PLANE.replace(old, new)
+        self.check(tmp_path, text, line, "rules must name at least one rule")
+        assert main(["validate", str(scn(tmp_path, text))]) == 2
+        capsys.readouterr()
 
     def test_diagnostics_come_sorted_by_line(self, tmp_path):
         text = "[ring]\nvars = x\n[tasks]\nt: kind = summon\nu: nonsense\n"
@@ -407,6 +437,52 @@ class TestCommandLine:
             assert tagged["counters"] == plain["counters"]
 
 
+class TestGroebnerMemo:
+    """Within one run each reduced basis is computed once; nothing outlives
+    the run."""
+
+    def test_an_equal_generator_list_is_answered_from_the_memo(self):
+        ring = PolynomialRing(("x", "y", "z"))
+        text = "x^2 + y*z - 1; x*y - z^2; y^3 - x"
+        with ideals.groebner_memo():
+            first = ideals.groebner(Ideal.parse(ring, text).gens)
+            with ideals.reduction_budget(10**6) as meter:
+                again = ideals.groebner(Ideal.parse(ring, text).gens + (ring.zero(),))
+            assert again is first
+            assert meter.used == 0
+        with ideals.reduction_budget(10**6) as meter:
+            outside = ideals.groebner(Ideal.parse(ring, text).gens)
+        assert outside == first and outside is not first
+        assert meter.used > 0
+
+    def test_a_computation_that_raises_stores_nothing(self):
+        ring = PolynomialRing(("x", "y", "z"))
+        gens = Ideal.parse(ring, "x^2 + y*z - 1; x*y - z^2; y^3 - x").gens
+        with ideals.groebner_memo() as memo:
+            with pytest.raises(BudgetExceededError):
+                with ideals.reduction_budget(3):
+                    ideals.groebner(gens)
+            assert memo == {}
+
+    def test_consecutive_runs_report_the_same_counters(self):
+        scenario = parse_scenario(CORPUS / "affine_quadric_cone.scn")
+        reports = []
+        for _ in range(2):
+            report = run_tasks(scenario, Flags())
+            del report["elapsed_ms"]
+            for row in report["tasks"]:
+                del row["ms"]
+            reports.append(json.dumps(report, sort_keys=True))
+            assert ideals._active_memo.get() is None
+        assert reports[0] == reports[1]
+
+    def test_the_memo_closes_when_a_task_runs_out_of_budget(self):
+        scenario = parse_scenario(CORPUS / "smooth_blowup_plane.scn")
+        report = run_tasks(scenario, Flags(budget=3))
+        assert any(row["status"] == "error:budget" for row in report["tasks"])
+        assert ideals._active_memo.get() is None
+
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_reports.json"
 
 
@@ -423,11 +499,24 @@ def corpus_reports(folder: Path) -> str:
     return json.dumps(reports, indent=2, sort_keys=True) + "\n"
 
 
+def without_counters(text: str) -> str:
+    """Reports as corpus_reports gives them, less every task's counters."""
+    reports = json.loads(text)
+    for report in reports.values():
+        for row in report["tasks"]:
+            del row["counters"]
+    return json.dumps(reports, indent=2, sort_keys=True) + "\n"
+
+
 def test_corpus_reports_match_golden_file(tmp_path, capsys):
     # every payload and every per-task reduction_steps counter of the six
     # bundled scenarios, byte for byte: a change that moves an answer or the
-    # kernel's path shows here. Rewrite the file only for an intended change:
+    # kernel's path shows here, the payloads checked first so that a change
+    # of counters alone fails only the second assertion. Rewrite the file
+    # only for an intended change:
     #   PYTHONPATH=src:tests python -c "import pathlib, tempfile, test_scenario_cli as t; \
     #     t.GOLDEN.write_text(t.corpus_reports(pathlib.Path(tempfile.mkdtemp())), encoding='utf-8')"
-    assert corpus_reports(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+    got, want = corpus_reports(tmp_path), GOLDEN.read_text(encoding="utf-8")
     capsys.readouterr()
+    assert without_counters(got) == without_counters(want), "payloads differ"
+    assert got == want, "only reduction_steps counters differ"
