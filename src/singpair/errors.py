@@ -27,6 +27,10 @@ class ExactDivisionError(SingpairError):
     """Division was requested but the quotient is not polynomial."""
 
 
+class ExponentOverflowError(SingpairError):
+    """An exponent or degree does not fit the fields of a packed monomial."""
+
+
 class BudgetExceededError(SingpairError):
     """The Groebner reduction-step budget ran out.
 

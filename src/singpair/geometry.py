@@ -206,14 +206,6 @@ def is_smooth(relations: Ideal) -> bool:
     return singular_locus(relations).is_trivial()
 
 
-def singular_points_avoid(relations: Ideal, point_ideal: Ideal) -> bool:
-    """True when the point locus misses the singular locus entirely."""
-    sing = singular_locus(relations)
-    if sing.is_trivial():
-        return True
-    return point_ideal.plus(sing).is_trivial()
-
-
 # -- quadratic form along a center ---------------------------------------------
 
 

@@ -6,13 +6,25 @@ A budget meter is installed per top-level Groebner computation unless the
 caller scopes one explicitly with reduction_budget(); nested computations
 (saturation, intersection, dimension) share the ambient meter.
 
-The kernel works in place. normal_form divides into one mutable dict and
-finds each next leading monomial with a heap keyed by the order's flat
-descending key (polyring.Dividend). Its strategy is fixed: the leading term
-is reduced by the first basis element, in basis order, whose leading
-monomial divides it, one budget step is charged per such reduction, and a
-leading term no element divides moves to the remainder. The S-pairs wait
-in a heap, their keys computed once per pair. Under a degree-compatible
+The kernel works on packed monomials (polyring.Packing): each exponent
+tuple is one int laid out for the ring's order, so comparing monomials
+compares ints, multiplying them adds ints, and a divisibility test is one
+addition and one mask. Integral coefficients are Python ints and the
+others Fractions; a quotient is exact and an int whenever it is integral.
+The generators are packed once on entry and the reduced basis unpacked
+once on exit, back to exponent tuples and Fractions, so Polynomial never
+sees a packed monomial. When a computation makes a monomial its fields
+cannot hold, it is repeated on wider fields, and the steps the first try
+charged are given back. normal_form, s_polynomial and _interreduce wrap
+the same kernel for polynomials.
+
+Division works in place: one mutable dict of terms and a heap of their
+negated packed monomials, which pops the leading one. Its strategy is
+fixed: the leading term is reduced by the first basis element, in basis
+order, whose leading monomial divides it, one budget step is charged per
+such reduction, and a leading term no element divides moves to the
+remainder. The S-pairs wait in a heap, keyed by their packed lcm computed
+once per pair. Under a degree-compatible
 order (grevlex) they are treated smallest lcm first with ties broken by
 (i, j), Buchberger's normal strategy. Under lex and elim orders, where the
 lcm order strays into high degrees, the smallest sugar goes first and the
@@ -43,25 +55,23 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
     EmptyVarietyError,
+    ExponentOverflowError,
     NotZeroDimensionalError,
     RingMismatchError,
 )
 from .polyring import (
-    Dividend,
-    Exponents,
     MonomialOrder,
+    Packing,
     Polynomial,
     PolynomialRing,
-    exp_add,
     exp_divides,
     exp_lcm,
-    exp_sub,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -129,30 +139,181 @@ def fresh_name(taken: Iterable[str], base: str = "_t") -> str:
 
 # -- reduction and Buchberger -------------------------------------------------
 
+# Inside the kernel a polynomial is a dict from packed monomials to
+# coefficients: an int when the coefficient is integral, a Fraction otherwise.
+
+
+def _pack(packing: Packing, f: Polynomial) -> dict:
+    pack = packing.pack
+    return {pack(e): c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
+
+
+def _unpack(ring: PolynomialRing, packing: Packing, terms: dict) -> Polynomial:
+    unpack = packing.unpack
+    return Polynomial(
+        ring, {unpack(m): Fraction(c) if c.__class__ is int else c for m, c in terms.items()}
+    )
+
+
+def _quotient(a, b):
+    """a / b exactly: an int when it is integral, a Fraction otherwise."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _monic(terms: dict) -> dict:
+    lc = terms[max(terms)]
+    if lc == 1:
+        return terms
+    return {m: _quotient(c, lc) for m, c in terms.items()}
+
+
+class _Elem:
+    """A kernel polynomial with what division by it reads: its leading
+    monomial and coefficient, the divisibility probe of the leading
+    monomial, and the terms below the lead."""
+
+    __slots__ = ("terms", "lm", "lc", "probe", "tail")
+
+    def __init__(self, terms: dict, packing: Packing) -> None:
+        self.terms = terms
+        self.lm = lm = max(terms)
+        self.lc = terms[lm]
+        self.probe = packing.probe(lm)
+        self.tail = [(m, c) for m, c in terms.items() if m != lm]
+
+
+def _packed(ring: PolynomialRing, run):
+    """(packing, run(packing)) on the ring's default packing. A run that
+    makes a monomial the fields cannot hold is repeated on fields twice as
+    wide, and the steps it charged are given back."""
+    meter = _active_meter.get()
+    used = meter.used if meter is not None else 0
+    packing = ring.order.packing(ring.nvars)
+    while True:
+        try:
+            return packing, run(packing)
+        except ExponentOverflowError:
+            if meter is not None:
+                meter.used = used
+            packing = ring.order.packing(ring.nvars, 2 * packing.bits)
+
+
+def _reduce(terms: dict, basis: Sequence[_Elem], packing: Packing) -> dict:
+    """The remainder of terms, which are consumed, on division by basis.
+
+    The largest term left is reduced by the first element of basis whose
+    leading monomial divides it, at one budget step, or else moves to the
+    remainder. Every monomial a reduction adds lies below the one it
+    removed, so a monomial popped from the heap never comes back.
+    """
+    sign, mask = packing.sign, packing.divisor_mask
+    guards, valid = packing.guards, packing.valid
+    heap = [-m for m in terms]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        m = -heappop(heap)
+        c = terms.pop(m, None)
+        if c is None:
+            continue  # cancelled, or a repeated heap entry
+        x = sign * m
+        for g in basis:
+            if not (x + g.probe) & mask:
+                break
+        else:
+            remainder[m] = c
+            continue
+        q = -c if g.lc == 1 else -_quotient(c, g.lc)  # minus the quotient term
+        shift = m - g.lm
+        for e, d in g.tail:
+            t = e + shift
+            if t & guards != valid:
+                packing.check(t)
+            old = terms.get(t)
+            if old is None:
+                terms[t] = q * d
+                heappush(heap, -t)
+            else:
+                s = old + q * d
+                if s:
+                    terms[t] = s
+                else:
+                    del terms[t]
+        _charge()
+    return remainder
+
+
+def _spoly(f: _Elem, g: _Elem, lcm: int, packing: Packing) -> dict:
+    guards, valid = packing.guards, packing.valid
+    terms = {}
+    shift, lc = lcm - f.lm, f.lc
+    for e, c in f.tail:
+        t = e + shift
+        if t & guards != valid:
+            packing.check(t)
+        terms[t] = c if lc == 1 else _quotient(c, lc)
+    shift, lc = lcm - g.lm, g.lc
+    for e, c in g.tail:
+        t = e + shift
+        if t & guards != valid:
+            packing.check(t)
+        s = terms.get(t, 0) - (c if lc == 1 else _quotient(c, lc))
+        if s:
+            terms[t] = s
+        else:
+            del terms[t]
+    return terms
+
+
+def _interreduced(basis: list[_Elem], packing: Packing) -> list[_Elem]:
+    """Monic elements, each divided by the others until a pass changes
+    nothing, sorted by ascending leading monomial.
+
+    An element none of whose terms another element's leading monomial
+    divides is kept without dividing: division would charge nothing and
+    return the same terms. Only their insertion order could differ, and
+    no output reads it (printing, equality, hashing and canonical keys
+    all sort terms).
+    """
+    sign, mask = packing.sign, packing.divisor_mask
+    changed = True
+    while changed:
+        changed = False
+        out: list[_Elem] = []
+        for i, p in enumerate(basis):
+            others = out + basis[i + 1 :]
+            probes = [g.probe for g in others]
+            if not any(not (sign * m + probe) & mask for m in p.terms for probe in probes):
+                out.append(p)
+                continue
+            # some term is divisible, so the remainder differs from p
+            changed = True
+            q = _reduce(p.terms, others, packing)
+            if q:
+                out.append(_Elem(_monic(q), packing))
+        basis = out
+    basis.sort(key=lambda g: g.lm)
+    return basis
+
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of f on division by basis (first-divisor strategy)."""
     if not basis:
         return f
     ring = f.ring
-    lead = []
     for g in basis:
         if g.ring is not ring and g.ring != ring:
             raise RingMismatchError(f"{ring} vs {g.ring}")
-        lm_g = g.leading_monomial()
-        lead.append((lm_g, g.terms[lm_g], g))
-    p = Dividend(f)
-    remainder: dict[Exponents, Fraction] = {}
-    while (top := p.pop_leading()) is not None:
-        lm, c = top
-        for lm_g, lc_g, g in lead:
-            if exp_divides(lm_g, lm):
-                p.subtract(exp_sub(lm, lm_g), c / lc_g, g)
-                _charge()
-                break
-        else:
-            remainder[lm] = c
-    return Polynomial(ring, remainder)
+
+    def run(packing: Packing) -> dict:
+        divisors = [_Elem(_pack(packing, g), packing) for g in basis]
+        return _reduce(_pack(packing, f), divisors, packing)
+
+    return _unpack(ring, *_packed(ring, run))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -163,57 +324,27 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     if f.ring is not g.ring and f.ring != g.ring:
         raise RingMismatchError(f"{f.ring} vs {g.ring}")
-    l = exp_lcm(f.leading_monomial(), g.leading_monomial())
 
-    def shifted(h: Polynomial):
-        lm_h = h.leading_monomial()
-        lc, shift = h.terms[lm_h], exp_sub(l, lm_h)
-        tail = ((e, c) for e, c in h.terms.items() if e is not lm_h)
-        if lc == 1:
-            return ((exp_add(e, shift), c) for e, c in tail)
-        return ((exp_add(e, shift), c / lc) for e, c in tail)
+    def run(packing: Packing) -> dict:
+        a, b = _Elem(_pack(packing, f), packing), _Elem(_pack(packing, g), packing)
+        lcm = exp_lcm(packing.unpack(a.lm), packing.unpack(b.lm))
+        return _spoly(a, b, packing.pack(lcm), packing)
 
-    terms = dict(shifted(f))
-    for m, c in shifted(g):
-        s = terms.get(m, 0) - c
-        if s == 0:
-            del terms[m]
-        else:
-            terms[m] = s
-    return Polynomial(f.ring, terms)
+    return _unpack(f.ring, *_packed(f.ring, run))
 
 
 def _interreduce(polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """Monic, each element divided by the others until a pass changes
-    nothing, sorted by ascending leading monomial.
+    """The polynomials made monic and interreduced (see _interreduced)."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return ()
+    ring = polys[0].ring
 
-    An element none of whose terms another element's leading monomial
-    divides is kept without dividing: normal_form would charge nothing and
-    return the same terms. Only their insertion order could differ, and
-    no output reads it (printing, equality, hashing and canonical keys
-    all sort terms).
-    """
-    basis = [p.monic() for p in polys if not p.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        out: list[Polynomial] = []
-        for i, p in enumerate(basis):
-            others = out + basis[i + 1 :]
-            lead = [g.leading_monomial() for g in others]
-            if not any(exp_divides(m, e) for e in p.terms for m in lead):
-                out.append(p)
-                continue
-            # some term is divisible, so the remainder differs from p
-            changed = True
-            q = normal_form(p, others)
-            if not q.is_zero():
-                out.append(q.monic())
-        basis = out
-    if basis:
-        key = basis[0].ring.order.sort_key
-        basis.sort(key=lambda g: key(g.leading_monomial()))
-    return tuple(basis)
+    def run(packing: Packing) -> list[_Elem]:
+        return _interreduced([_Elem(_monic(_pack(packing, p)), packing) for p in polys], packing)
+
+    packing, basis = _packed(ring, run)
+    return tuple(_unpack(ring, packing, g.terms) for g in basis)
 
 
 # Exponent tuples and coefficients of recent reduced bases, by value. Bases
@@ -226,15 +357,30 @@ _POOL_LIMIT = 4096
 _pool: dict = {}
 
 
-def _share_storage(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """The same polynomials, with equal exponent tuples and equal coefficients
-    stored once, within the basis and with recent bases."""
+def _share_storage(
+    ring: PolynomialRing, packing: Packing, basis: Sequence[dict]
+) -> tuple[Polynomial, ...]:
+    """The kernel's polynomials unpacked, their coefficients as Fractions,
+    with equal exponent tuples and equal coefficients stored once, within
+    the basis and with recent bases."""
     if len(_pool) > _POOL_LIMIT:
         _pool.clear()
-    share = _pool.setdefault
-    return tuple(
-        Polynomial(g.ring, {share(e, e): share(c, c) for e, c in g.terms.items()}) for g in basis
-    )
+    share, known, unpack = _pool.setdefault, _pool.get, packing.unpack
+    out = []
+    for g in basis:
+        terms = {}
+        for m, c in g.items():
+            e = unpack(m)
+            if c.__class__ is int:
+                # an int and the equal Fraction are one key of the pool
+                value = known(c)
+                if value is None:
+                    value = _pool[c] = Fraction(c)
+            else:
+                value = share(c, c)
+            terms[share(e, e)] = value
+        out.append(Polynomial(ring, terms))
+    return tuple(out)
 
 
 def groebner(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
@@ -254,32 +400,38 @@ def groebner(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 
 
 def _reduced_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    if _active_meter.get() is None:
-        with reduction_budget(DEFAULT_BUDGET):
-            return _share_storage(_buchberger(gens))
-    return _share_storage(_buchberger(gens))
-
-
-def _buchberger(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
-    key = ring.order.sort_key
-    basis = list(_interreduce(gens))
-    if any(g.is_constant() for g in basis):
-        return (ring.one(),)
-    lead = [g.leading_monomial() for g in basis]
+
+    def run(packing: Packing) -> list[dict]:
+        return _buchberger([_pack(packing, g) for g in gens], packing)
+
+    if _active_meter.get() is None:
+        with reduction_budget(DEFAULT_BUDGET):
+            return _share_storage(ring, *_packed(ring, run))
+    return _share_storage(ring, *_packed(ring, run))
+
+
+def _buchberger(gens: list[dict], packing: Packing) -> list[dict]:
+    """The reduced basis of the packed generators, as packed terms."""
+    zero, unpack = packing.zero, packing.unpack
+    unit = [{zero: 1}]
+    basis = _interreduced([_Elem(_monic(g), packing) for g in gens], packing)
+    if any(g.lm == zero for g in basis):
+        return unit
+    lead = [unpack(g.lm) for g in basis]
     # sugar: the total degree each element would have if every reduction kept
     # degrees homogeneous; an input element's is its total degree
-    by_sugar = not ring.order.degree_compatible
-    sugar = [g.total_degree() for g in basis]
+    by_sugar = not packing.order.degree_compatible
+    sugar = [max(sum(unpack(m)) for m in g.terms) if by_sugar else 0 for g in basis]
     # the pairs still to treat, as a set for the chain criterion and as a heap
-    # of (sugar, key of the lcm, i, j, lcm) that pops them by the smallest
-    # sugar, then the smallest lcm, ties broken by (i, j); the sugar is 0 for
-    # every pair under a degree-compatible order, where the lcm alone decides
+    # of (sugar, lcm, i, j) that pops them by the smallest sugar, then the
+    # smallest lcm, ties broken by (i, j); the sugar is 0 for every pair
+    # under a degree-compatible order, where the lcm alone decides
     pending: set[tuple[int, int]] = set()
-    queue: list[tuple[int, tuple, int, int, Exponents]] = []
+    queue: list[tuple[int, int, int, int]] = []
 
     def add_pair(i: int, j: int) -> None:
         lcm = exp_lcm(lead[i], lead[j])
@@ -288,39 +440,41 @@ def _buchberger(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
         if by_sugar:
             d = sum(lcm)
             s = max(sugar[i] + d - sum(lead[i]), sugar[j] + d - sum(lead[j]))
-        heappush(queue, (s, key(lcm), i, j, lcm))
+        heappush(queue, (s, packing.pack(lcm), i, j))
 
     for j in range(len(basis)):
         for i in range(j):
             add_pair(i, j)
 
+    sign, mask = packing.sign, packing.divisor_mask
     while queue:
-        s_ij, _, i, j, lcm_ij = heappop(queue)
+        s_ij, lcm_ij, i, j = heappop(queue)
         pending.discard((i, j))
-        if exp_add(lead[i], lead[j]) == lcm_ij:
+        if basis[i].lm + basis[j].lm - zero == lcm_ij:
             continue  # coprime leading monomials
+        x = sign * lcm_ij
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not exp_divides(lead[k], lcm_ij):
+        for k, g in enumerate(basis):
+            if k == i or k == j or (x + g.probe) & mask:
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 skip = True  # chain criterion
                 break
         if skip:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
+        r = _reduce(_spoly(basis[i], basis[j], lcm_ij, packing), basis, packing)
+        if not r:
             continue
-        r = r.monic()
-        if r.is_constant():
-            return (ring.one(),)
-        basis.append(r)
-        lead.append(r.leading_monomial())
+        g = _Elem(_monic(r), packing)
+        if g.lm == zero:
+            return unit
+        basis.append(g)
+        lead.append(unpack(g.lm))
         sugar.append(s_ij)
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)
-    return _interreduce(basis)
+    return [g.terms for g in _interreduced(basis, packing)]
 
 
 # -- the Ideal type -----------------------------------------------------------
@@ -466,16 +620,6 @@ class Ideal:
         gens = [g.in_ring(work) for g in self.gens]
         gens.append(work.one() - tv * f.in_ring(work))
         return Ideal(work, gens).eliminate({t}).in_ring(self.ring)
-
-    def saturation_exponent(self, f: Polynomial, cap: int = 64) -> int:
-        """Least e with f^e * (self : f^inf) contained in self."""
-        sat = self.saturate(f)
-        power = self.ring.one()
-        for e in range(cap + 1):
-            if all(self.contains(power * g) for g in sat.groebner()):
-                return e
-            power = power * f
-        raise RuntimeError(f"saturation exponent above cap {cap}")
 
     def saturate_ideal(self, other: "Ideal") -> "Ideal":
         """Saturation by a (non-unit) ideal: intersect per-generator saturations."""

@@ -7,7 +7,9 @@ assumes exact arithmetic, so coefficients are fractions.Fraction throughout
 and no floating point ever enters.
 
 Monomial orders are first-class values because elimination steps need block
-orders and canonical output needs one agreed order per ring.
+orders and canonical output needs one agreed order per ring. Each order
+also packs monomials into ints laid out for it (Packing), the form the
+Groebner kernel computes in.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .errors import ExactDivisionError, PolyParseError, RingMismatchError
+from .errors import ExactDivisionError, ExponentOverflowError, PolyParseError, RingMismatchError
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -114,10 +116,136 @@ class MonomialOrder:
         so a heapq of these keys pops monomials in decreasing order."""
         return _descending_key(self.kind, self.block)
 
+    def packing(self, nvars: int, bits: int | None = None) -> "Packing":
+        """The packed-int layout of this order on nvars variables, with
+        fields of `bits` bits (PACK_BITS by default); built on first use."""
+        return _packing(self, nvars, bits or PACK_BITS)
+
     def __str__(self) -> str:
         if self.kind == "elim":
             return f"elim({self.block})"
         return self.kind
+
+
+# Field width, guard bit included, of a packed monomial: exponents and block
+# degrees up to 127. The Groebner kernel widens the fields when a
+# computation makes a monomial they cannot hold.
+PACK_BITS = 8
+
+
+class Packing:
+    """Monomials in nvars variables as ints, laid out for one monomial order
+    (Bachmann and Schoenemann, "Monomial representations for Groebner bases
+    computations", ISSAC 1998).
+
+    pack(e) = zero + sum(e[i] * weights[i]) is a row of fields of `bits`
+    bits each, the most significant first, that spells out the order's
+    sort_key: lex has one field per variable; grevlex has the total degree,
+    then the variables from the last back; elim(k) has the same for each
+    of its two blocks in turn. The field of a variable that sort_key
+    negates holds 2**bits - 1 - e[i]. As long as every exponent and block
+    degree is at most `limit`:
+
+    - comparing packed ints compares the monomials;
+    - pack(a) + pack(b) - zero == pack(a + b), when a + b fits;
+    - the top bit of each field, its guard, is set exactly in the negated
+      fields, so `m & guards != valid` flags a sum that does not fit;
+    - a divides b exactly when `(probe(a) + sign * b) & divisor_mask` is 0.
+
+    unpack() recovers the exponent tuple.
+    """
+
+    __slots__ = ("order", "nvars", "bits", "limit", "zero", "weights", "guards", "valid",
+                 "sign", "divisor_mask", "_degree_guards", "_shifts", "_blocks")
+
+    def __init__(self, order: "MonomialOrder", nvars: int, bits: int) -> None:
+        if bits < 2:
+            raise ValueError("a packed field needs a guard bit and a value bit")
+        n = nvars
+        if order.kind == "lex":
+            blocks: tuple[range, ...] = ()
+        elif order.kind == "grevlex":
+            blocks = (range(n),)
+        elif order.kind == "elim":
+            blocks = (range(order.block), range(order.block, n))
+        else:
+            raise ValueError(f"unknown order kind {order.kind!r}")
+        # fields from the most significant: a block's degree (a range), then
+        # its variables (their indices) from the last back
+        fields = [f for b in blocks for f in (b, *reversed(b))] if blocks else list(range(n))
+        negated = bool(blocks)
+        ones = (1 << bits) - 1
+        zero = guards = degree_guards = 0
+        weights = [0] * n
+        shifts = [0] * n
+        for f, field in enumerate(reversed(fields)):
+            shift = bits * f
+            guard = 1 << (shift + bits - 1)
+            guards |= guard
+            if isinstance(field, range):
+                degree_guards |= guard
+                for i in field:
+                    weights[i] += 1 << shift
+            else:
+                weights[field] += -(1 << shift) if negated else 1 << shift
+                shifts[field] = shift
+                if negated:
+                    zero += ones << shift
+        self.order = order
+        self.nvars = n
+        self.bits = bits
+        self.limit = (1 << (bits - 1)) - 1
+        self.zero = zero
+        self.weights = tuple(weights)
+        self.guards = guards
+        self.divisor_mask = guards & ~degree_guards
+        self.valid = self.divisor_mask if negated else 0
+        self.sign = -1 if negated else 1
+        self._degree_guards = degree_guards
+        self._shifts = tuple(shifts)
+        self._blocks = tuple(slice(b.start, b.stop) for b in blocks)
+
+    def pack(self, e: Exponents) -> int:
+        """The packed monomial; ExponentOverflowError when e does not fit."""
+        limit = self.limit
+        if self._blocks:
+            for block in self._blocks:
+                if sum(e[block]) > limit:
+                    raise ExponentOverflowError(f"{e} has a block degree above {limit}")
+        elif e and max(e) > limit:
+            raise ExponentOverflowError(f"{e} has an exponent above {limit}")
+        return self.zero + sum(map(mul, e, self.weights))
+
+    def unpack(self, m: int) -> Exponents:
+        ones = (1 << self.bits) - 1
+        if self.sign < 0:
+            return tuple([ones - ((m >> s) & ones) for s in self._shifts])
+        return tuple([(m >> s) & ones for s in self._shifts])
+
+    def check(self, m: int) -> int:
+        """m, the sum of two packed monomials less zero, if it fits the fields."""
+        if m & self.guards != self.valid:
+            raise ExponentOverflowError(f"a product does not fit {self.bits}-bit fields")
+        return m
+
+    def probe(self, a: int) -> int:
+        """The form of a divisor that the divisibility test adds to sign * b.
+
+        lex: b - a keeps every field at or above 0, and so every guard
+        clear, exactly when a divides b. Negated fields turn the difference
+        round, to a - b, whose degree fields get their guard bit added so
+        that they cannot borrow from the field above.
+        """
+        return -a if self.sign > 0 else a | self._degree_guards
+
+    def divides(self, a: int, b: int) -> bool:
+        """True when monomial a divides monomial b (both packed)."""
+        return not (self.probe(a) + self.sign * b) & self.divisor_mask
+
+
+@lru_cache(maxsize=None)
+def _packing(order: "MonomialOrder", nvars: int, bits: int) -> Packing:
+    return Packing(order, nvars, bits)
 
 
 @dataclass(frozen=True)

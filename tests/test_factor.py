@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,21 @@ def test_trivariate_gcd_keeps_coefficients_small():
     const, factors = factor(f)
     assert const == 16
     assert _as_set(factors) == {("x - 1/2", 1), ("x - 1/4", 1), ("x^2 + 2*x*y - 1/2*z", 1)}
+
+
+@pytest.mark.parametrize(
+    "names", list(itertools.permutations(("x", "y", "z"))), ids="".join
+)
+def test_trivariate_quartic_factors_in_every_variable_order(names):
+    # with x first in the ring, the gcds pseudo-divided in x, of degree 4,
+    # and did not finish in 40 s; y and z have degree 2
+    ring = PolynomialRing(names)
+    first, second = ring.parse("-3*x^2 - 4*y*z - 2"), ring.parse("x^2 + x*y - 3*x*z - 1")
+    start = time.perf_counter()
+    const, factors = factor(first * second)
+    assert time.perf_counter() - start < 5
+    assert {(g, m) for g, m in factors} == {(first.monic(), 1), (second.monic(), 1)}
+    assert const == first.leading_coefficient() * second.leading_coefficient()
 
 
 def test_trivariate_irreducible_quadric():

@@ -12,7 +12,6 @@ from singpair.geometry import (
     rational_points,
     radical_zero_dim,
     singular_locus,
-    singular_points_avoid,
     zero_dim_decompose,
 )
 from singpair.ideals import Ideal
@@ -82,14 +81,6 @@ def test_singular_locus_of_cone():
 def test_smooth_hypersurface():
     assert is_smooth(Ideal.parse(R3, "x^2 + y^2 + z + 1"))
     assert is_smooth(Ideal(R3))  # the whole space
-
-
-def test_singular_points_avoid():
-    X = Ideal.parse(R4, "x^2 - y^2 + t*z^2")
-    good = Ideal.parse(R4, "x - 1; y - 1; z; t - 5")
-    bad = Ideal.parse(R4, "x; y; z; t")
-    assert singular_points_avoid(X, good)
-    assert not singular_points_avoid(X, bad)
 
 
 def test_center_quadratic_form_of_cone():

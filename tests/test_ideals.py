@@ -4,10 +4,11 @@ from heapq import heappop, heappush
 
 import pytest
 
-from singpair import ideals
+from singpair import ideals, polyring
 from singpair.errors import (
     BudgetExceededError,
     EmptyVarietyError,
+    ExponentOverflowError,
     NotZeroDimensionalError,
 )
 from singpair.ideals import (
@@ -97,7 +98,6 @@ def test_saturation_and_exponent():
     I = Ideal.parse(R3, "x*y^2; x^2*y")
     S = I.saturate(R3.var("y"))
     assert S == Ideal.parse(R3, "x")
-    assert I.saturation_exponent(R3.var("y")) == 2
     assert Ideal.parse(R3, "x^2*y").saturate(R3.var("y")) == Ideal.parse(R3, "x^2")
 
 
@@ -217,6 +217,16 @@ def reference_normal_form(f, basis):
     return remainder
 
 
+def reference_s_polynomial(f, g):
+    """lcm/lt(f) * f - lcm/lt(g) * g, by products of exponent-tuple polynomials."""
+    key = reference_key(f.ring.order)
+    lm_f, lm_g = max(f.terms, key=key), max(g.terms, key=key)
+    lcm = exp_lcm(lm_f, lm_g)
+    mf = Polynomial(f.ring, {exp_sub(lcm, lm_f): Fraction(1) / f.terms[lm_f]})
+    mg = Polynomial(g.ring, {exp_sub(lcm, lm_g): Fraction(1) / g.terms[lm_g]})
+    return mf * f - mg * g
+
+
 def reference_exact_div(f, other):
     key = reference_key(f.ring.order)
     lm_o = max(other.terms, key=key)
@@ -284,11 +294,7 @@ def test_s_polynomial_matches_reference(order):
         if f.is_zero() or g.is_zero():
             continue
         for f, g in ((f, g), (f.monic(), g.monic()), (f, f)):
-            lm_f, lm_g = f.leading_monomial(), g.leading_monomial()
-            l = tuple(map(max, lm_f, lm_g))
-            mf = Polynomial(ring, {exp_sub(l, lm_f): 1 / f.leading_coefficient()})
-            mg = Polynomial(ring, {exp_sub(l, lm_g): 1 / g.leading_coefficient()})
-            assert s_polynomial(f, g) == mf * f - mg * g
+            assert s_polynomial(f, g) == reference_s_polynomial(f, g)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)
@@ -362,10 +368,11 @@ def test_standard_systems_take_pinned_step_counts(system, steps, dim, roots):
 
 def reference_buchberger(gens):
     """Buchberger with the normal strategy under every order: the pair with
-    the smallest lcm first, ties broken by (i, j); otherwise as the kernel."""
+    the smallest lcm first, ties broken by (i, j); otherwise as the kernel.
+    It runs on exponent tuples and shares no code with the packed kernel."""
     ring = gens[0].ring
     key = ring.order.sort_key
-    basis = [g.monic() for g in _interreduce(gens)]
+    basis = list(reference_interreduce(gens)[0])
     if any(g.is_constant() for g in basis):
         return (ring.one(),)
     lead = [g.leading_monomial() for g in basis]
@@ -394,7 +401,7 @@ def reference_buchberger(gens):
                 break
         if skip:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        r = reference_normal_form(reference_s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         r = r.monic()
@@ -405,7 +412,7 @@ def reference_buchberger(gens):
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)
-    return _interreduce(basis)
+    return reference_interreduce(basis)[0]
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)
@@ -477,9 +484,10 @@ def test_reduced_basis_shares_exponents_and_coefficients():
 def test_storage_pool_is_emptied_once_full(monkeypatch):
     monkeypatch.setattr(ideals, "_POOL_LIMIT", 5)
     ideals._pool.clear()
-    ideals._share_storage([R3.parse("x^2 + 2*y + 3")])
+    packing = R3.order.packing(R3.nvars)
+    ideals._share_storage(R3, packing, [ideals._pack(packing, R3.parse("x^2 + 2*y + 3"))])
     assert len(ideals._pool) == 6  # three exponent tuples, three coefficients
-    ideals._share_storage([R3.parse("z + 5")])
+    ideals._share_storage(R3, packing, [ideals._pack(packing, R3.parse("z + 5"))])
     assert len(ideals._pool) == 4  # over the limit, so emptied before this basis
 
 
@@ -494,13 +502,15 @@ def reference_interreduce(polys):
         changed = False
         out = []
         for i, p in enumerate(basis):
-            q = normal_form(p, out + basis[i + 1 :])
+            q = reference_normal_form(p, out + basis[i + 1 :])
             if q.is_zero():
                 changed = True
                 continue
             q = q.monic()
             if q != p:
                 changed = True
+            else:
+                q = p  # left as it is, its terms in their order
             out.append(q)
         basis = out
     if basis:
@@ -567,3 +577,49 @@ def test_groebner_returns_shared_storage():
     for g, h in zip(first, again):
         assert all(e is f for e, f in zip(g.terms, h.terms))
         assert all(c is d for c, d in zip(g.terms.values(), h.terms.values()))
+
+
+def test_kernel_returns_fraction_coefficients():
+    # the kernel holds integral coefficients as ints; what it returns holds
+    # Fractions, also for inputs built with int coefficients
+    ring = PolynomialRing(("x", "y", "z"), MonomialOrder.lex())
+    f = Polynomial(ring, {(2, 0, 0): 2, (0, 1, 0): -4, (0, 0, 0): 6})
+    g = Polynomial(ring, {(1, 1, 0): 3, (0, 0, 1): 1})
+    h = ring.parse("x*z - 1/2*y^2")
+    results = [*groebner([f, g, h]), normal_form(f, [g, h]), normal_form(g * h, [f])]
+    results += [s_polynomial(f, g), s_polynomial(g, h), s_polynomial(f, h)]
+    results += groebner([ring.parse("x - 1"), ring.parse("x + 1")])  # the unit ideal
+    assert any(c.denominator == 1 for r in results for c in r.terms.values())
+    for r in results:
+        assert all(type(c) is Fraction for c in r.terms.values()), r
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_narrow_fields_widen_to_the_same_answer_and_steps(order, monkeypatch):
+    # 2-bit fields hold exponents and block degrees up to 1: the
+    # computations below overflow them, and the kernel redoes each on wider
+    # fields, giving back the steps the overflowing attempt charged
+    rng = random.Random(f"widen-{order}")
+    ring = PolynomialRing(("a", "b", "c"), order)
+    cases = []
+    for _ in range(8):
+        gens = [random_poly(rng, ring, rng.randint(2, 4), 2) for _ in range(rng.randint(2, 3))]
+        cases.append([g for g in gens if not g.is_zero()])
+    system_ring, system = katsura(3)
+    cases.append([g.in_ring(system_ring.with_order(order)) for g in system])
+
+    def run():
+        out = []
+        for gens in cases:
+            with reduction_budget(10**6) as meter:
+                gb = groebner(gens)
+                nf = normal_form(gens[0] * gens[-1] + gens[0], gens[1:])
+                sp = s_polynomial(gens[0], gens[-1])
+            out.append((gb, nf, sp, meter.used))
+        return out
+
+    wide = run()
+    monkeypatch.setattr(polyring, "PACK_BITS", 2)
+    with pytest.raises(ExponentOverflowError):
+        order.packing(ring.nvars).pack((2, 0, 0))
+    assert run() == wide

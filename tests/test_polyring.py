@@ -4,8 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from singpair.errors import ExactDivisionError, PolyParseError, RingMismatchError
-from singpair.polyring import MonomialOrder, Polynomial, PolynomialRing, parse_many
+from singpair.errors import (
+    ExactDivisionError,
+    ExponentOverflowError,
+    PolyParseError,
+    RingMismatchError,
+)
+from singpair.polyring import (
+    MonomialOrder,
+    Polynomial,
+    PolynomialRing,
+    exp_add,
+    exp_divides,
+    parse_many,
+)
 
 
 R = PolynomialRing(("x", "y", "z", "t"))
@@ -329,3 +341,67 @@ def test_substitute_multiplies_powers_not_constants(monkeypatch):
     f.substitute(bindings)
     # y^2 is one product and x*y^2 another; no term is multiplied by its coefficient
     assert len(calls) == 2
+
+
+# -- packed monomials ----------------------------------------------------------
+
+PACKED_ORDERS = (
+    MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1), MonomialOrder.elim(3)
+)
+
+
+def random_exponent_pairs(rng, n, count):
+    """Pairs (a, b) of exponent tuples; in about a third of them a divides b."""
+    for _ in range(count):
+        a = tuple(rng.choice((0, 0, 1, 2, rng.randint(0, 20))) for _ in range(n))
+        if rng.random() < 0.35:
+            b = exp_add(a, tuple(rng.choice((0, 0, 1, 3)) for _ in range(n)))
+        else:
+            b = tuple(rng.choice((0, 0, 1, 2, rng.randint(0, 20))) for _ in range(n))
+        yield a, b
+
+
+@pytest.mark.parametrize("order", PACKED_ORDERS, ids=str)
+def test_packed_monomials_follow_the_order_and_exponent_arithmetic(order):
+    rng = random.Random(f"pack-{order}")
+    n = 5
+    packing = order.packing(n)
+    assert packing is order.packing(n)  # built once per order and variable count
+    divisible = 0
+    for a, b in random_exponent_pairs(rng, n, 3000):
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert (pa < pb) == (order.sort_key(a) < order.sort_key(b))
+        assert (pa == pb) == (a == b)
+        assert packing.check(pa + pb - packing.zero) == packing.pack(exp_add(a, b))
+        assert packing.divides(pa, pb) == exp_divides(a, b)
+        assert packing.divides(pb, pa) == exp_divides(b, a)
+        assert packing.unpack(pa) == a and packing.unpack(pb) == b
+        divisible += exp_divides(a, b)
+    assert divisible > 500
+    assert packing.pack((0,) * n) == packing.zero
+
+
+@pytest.mark.parametrize("order", PACKED_ORDERS, ids=str)
+def test_narrow_fields_refuse_what_they_cannot_hold(order):
+    # 3-bit fields hold exponents and block degrees up to 3
+    n = 4
+    packing = order.packing(n, bits=3)
+    assert packing.limit == 3
+    a, b = (1, 0, 0, 0), (0, 1, 0, 1)
+    fits = packing.pack(a) + packing.pack(b) - packing.zero
+    assert packing.check(fits) == packing.pack((1, 1, 0, 1))
+    with pytest.raises(ExponentOverflowError):
+        packing.pack((4, 0, 0, 0))
+    with pytest.raises(ExponentOverflowError):
+        packing.pack((0, 0, 0, 9))
+    # (0, 0, 0, 2) squared needs a 4 in the last variable's field: check()
+    # refuses it before a further product carries it into the next field
+    over = 2 * packing.pack((0, 0, 0, 2)) - packing.zero
+    with pytest.raises(ExponentOverflowError):
+        packing.check(over)
+    assert packing.unpack(2 * over - packing.zero) != (0, 0, 0, 8)
+    # a block degree above 3, every exponent within 3
+    heavy_block = {"grevlex": (1, 1, 1, 1), "elim(1)": (0, 2, 2, 0), "elim(3)": (2, 2, 0, 0)}
+    if str(order) in heavy_block:
+        with pytest.raises(ExponentOverflowError):
+            packing.pack(heavy_block[str(order)])
