@@ -9,7 +9,7 @@ and no floating point ever enters.
 Monomial orders are first-class values because elimination steps need block
 orders and canonical output needs one agreed order per ring. Each order
 also packs monomials into ints laid out for it (Packing), the form the
-Groebner kernel computes in.
+Groebner kernel and exact division compute in.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, le, mul, neg, sub
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ExactDivisionError, ExponentOverflowError, PolyParseError, RingMismatchError
 
@@ -42,19 +42,6 @@ def exp_lcm(a: Exponents, b: Exponents) -> Exponents:
 def exp_divides(a: Exponents, b: Exponents) -> bool:
     """True when monomial a divides monomial b."""
     return all(map(le, a, b))
-
-
-@lru_cache(maxsize=None)
-def _descending_key(kind: str, block: int) -> Callable[[Exponents], tuple]:
-    """The elementwise negation of MonomialOrder(kind, block).sort_key."""
-    if kind == "lex":
-        return lambda e: tuple(map(neg, e))
-    if kind == "grevlex":
-        return lambda e: (-sum(e), *e[::-1])
-    if kind == "elim":
-        k = block
-        return lambda e: (-sum(e[:k]), *e[k - 1 :: -1], -sum(e[k:]), *e[: k - 1 : -1])
-    raise ValueError(f"unknown order kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -109,12 +96,6 @@ class MonomialOrder:
         Only grevlex is: lex and elim compare a leading block first.
         """
         return self.kind == "grevlex"
-
-    @property
-    def descending_key(self) -> Callable[[Exponents], tuple]:
-        """The negated sort_key: the largest monomial has the smallest key,
-        so a heapq of these keys pops monomials in decreasing order."""
-        return _descending_key(self.kind, self.block)
 
     def packing(self, nvars: int, bits: int | None = None) -> "Packing":
         """The packed-int layout of this order on nvars variables, with
@@ -297,14 +278,6 @@ class PolynomialRing:
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
 
-    def monomial(self, exps: Exponents, coeff: Scalar = 1) -> "Polynomial":
-        if len(exps) != self.nvars:
-            raise ValueError("exponent tuple has wrong length")
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return self.zero()
-        return Polynomial(self, {tuple(exps): coeff})
-
     def __str__(self) -> str:
         return f"QQ[{', '.join(self.names)}; {self.order}]"
 
@@ -389,7 +362,8 @@ class Polynomial:
         lc = self.leading_coefficient()
         if lc == 1:
             return self
-        return Polynomial(self.ring, {e: c / lc for e, c in self.terms.items()})
+        inverse = 1 / Fraction(lc)
+        return Polynomial(self.ring, {e: c * inverse for e, c in self.terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -470,23 +444,69 @@ class Polynomial:
             base = base * base
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Quotient self/other when the division is exact."""
+        """Quotient self/other when the division is exact; ExactDivisionError
+        otherwise.
+
+        Division runs in place on the ring order's packed monomials: one
+        dict of the terms left and a heap of their negated packed monomials,
+        which pops the leading one. A monomial that cancels keeps its heap
+        entry and is skipped when it surfaces; every monomial a step adds
+        lies below the one just popped, so a popped monomial never comes
+        back. When other divides self, the Newton polytope of self is that
+        of other plus that of the quotient, so every monomial of other, of
+        the quotient and of each remainder fits the fields that hold self:
+        the fields widen only until self packs, and a monomial that does
+        not fit them shows the division is inexact.
+        """
         self._check(other)
         if other.is_zero():
             raise ExactDivisionError("division by zero polynomial")
-        lm_o = other.leading_monomial()
-        lc_o = other.terms[lm_o]
-        rem = Dividend(self)
-        quotient: dict[Exponents, Fraction] = {}
-        while (top := rem.pop_leading()) is not None:
-            lm_r, c = top
-            if not exp_divides(lm_o, lm_r):
-                raise ExactDivisionError(f"{other} does not divide {self}")
-            shift = exp_sub(lm_r, lm_o)
-            q = c / lc_o
-            quotient[shift] = q
-            rem.subtract(shift, q, other)
-        return Polynomial(self.ring, quotient)
+        order, n = self.ring.order, self.ring.nvars
+        packing = order.packing(n)
+        while True:
+            try:
+                terms = dict(zip(map(packing.pack, self.terms), self.terms.values()))
+                break
+            except ExponentOverflowError:
+                packing = order.packing(n, 2 * packing.bits)
+        lead = other.leading_monomial()
+        inverse = 1 / Fraction(other.terms[lead])
+        guards, valid = packing.guards, packing.valid
+        heap = [-m for m in terms]
+        heapify(heap)
+        quotient: dict[int, Fraction] = {}
+        try:
+            lm = packing.pack(lead)
+            tail = [(packing.pack(e), c) for e, c in other.terms.items() if e != lead]
+            while heap:
+                m = -heappop(heap)
+                c = terms.pop(m, None)
+                if c is None:
+                    continue
+                if not packing.divides(lm, m):
+                    break
+                shift = m - lm
+                q = quotient[shift] = c * inverse
+                for e, d in tail:
+                    t = e + shift
+                    if t & guards != valid:
+                        packing.check(t)
+                    old = terms.get(t)
+                    if old is None:
+                        terms[t] = -q * d
+                        heappush(heap, -t)
+                    else:
+                        s = old - q * d
+                        if s:
+                            terms[t] = s
+                        else:
+                            del terms[t]
+            else:
+                unpack, zero = packing.unpack, packing.zero
+                return Polynomial(self.ring, {unpack(s + zero): q for s, q in quotient.items()})
+        except ExponentOverflowError:
+            pass  # other, or a product, does not fit the fields that hold self
+        raise ExactDivisionError(f"{other} does not divide {self}")
 
     def divides(self, other: "Polynomial") -> bool:
         try:
@@ -657,55 +677,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring}>"
-
-
-class Dividend:
-    """A polynomial being divided, held in place.
-
-    The terms live in one mutable dict and their monomials in a heap keyed
-    by the order's descending_key, so the leading term is found without a
-    scan and subtracting a multiple of a divisor touches only the divisor's
-    terms. A monomial that cancels keeps its heap entry, which is skipped
-    when it surfaces. Every monomial subtract() adds lies below the term
-    just popped, so a popped monomial never comes back.
-    """
-
-    __slots__ = ("terms", "_heap", "_key")
-
-    def __init__(self, f: Polynomial) -> None:
-        self.terms = dict(f.terms)
-        self._key = key = f.ring.order.descending_key
-        self._heap = [(key(e), e) for e in self.terms]
-        heapify(self._heap)
-
-    def pop_leading(self) -> tuple[Exponents, Fraction] | None:
-        """Remove and return the leading term, or None once nothing is left."""
-        heap, terms = self._heap, self.terms
-        while heap:
-            e = heappop(heap)[1]
-            c = terms.pop(e, None)
-            if c is not None:
-                return e, c
-        return None
-
-    def subtract(self, shift: Exponents, q: Fraction, g: Polynomial) -> None:
-        """Subtract q * x^shift * g, whose leading term cancels the one just popped."""
-        terms, heap, key = self.terms, self._heap, self._key
-        lm_g = g.leading_monomial()
-        for e, c in g.terms.items():
-            if e is lm_g:
-                continue
-            m = exp_add(e, shift)
-            old = terms.get(m)
-            if old is None:
-                terms[m] = -q * c
-                heappush(heap, (key(m), m))
-            else:
-                s = old - q * c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
 
 
 # -- parsing ----------------------------------------------------------------

@@ -8,6 +8,7 @@ from singpair import ideals, polyring
 from singpair.errors import (
     BudgetExceededError,
     EmptyVarietyError,
+    ExactDivisionError,
     ExponentOverflowError,
     NotZeroDimensionalError,
 )
@@ -259,7 +260,6 @@ def test_sort_keys_order_like_nested_reference(order):
     monos = sorted({tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(200)})
     ascending = sorted(monos, key=reference_key(order))
     assert sorted(monos, key=order.sort_key) == ascending
-    assert sorted(monos, key=order.descending_key) == ascending[::-1]
     f = Polynomial(ring, {e: Fraction(1) for e in monos})
     assert f.leading_monomial() == ascending[-1]
 
@@ -309,6 +309,26 @@ def test_exact_div_matches_reference(order):
         got = (f * g).exact_div(g)
         assert got == f
         assert list(got.terms) == list(reference_exact_div(f * g, g).terms)
+    # dividends the default fields cannot hold, by an exponent above 127 or
+    # (except under lex) a block degree above 127 whose exponents are all
+    # below it: the fields widen until the dividend packs
+    widen = [("a^130 - 1", "a - 1")]
+    if order.kind != "lex":  # lex packs no block degree
+        widen.append(("(b^50*c^50*d^50 + a^70*b^70 - 1/3)*(a*b^2 - 2*d + 1)", "a*b^2 - 2*d + 1"))
+    for f, g in widen:
+        f, g = ring.parse(f), ring.parse(g)
+        with pytest.raises(ExponentOverflowError):
+            [order.packing(ring.nvars).pack(e) for e in f.terms]
+        got = f.exact_div(g)
+        assert got * g == f
+        assert list(got.terms) == list(reference_exact_div(f, g).terms)
+    # inexact: a divisor that does not fit the dividend's fields, and (under
+    # lex and elim) remainders whose exponents or block degrees outgrow them
+    for f, g in (("a + 1", "a^200 - 1"), ("a^100", "a + d^100")):
+        f, g = ring.parse(f), ring.parse(g)
+        with pytest.raises(ExactDivisionError):
+            f.exact_div(g)
+        assert not g.divides(f)
 
 
 def cyclic(n):
@@ -581,7 +601,8 @@ def test_groebner_returns_shared_storage():
 
 def test_kernel_returns_fraction_coefficients():
     # the kernel holds integral coefficients as ints; what it returns holds
-    # Fractions, also for inputs built with int coefficients
+    # Fractions, also for inputs built with int coefficients, and so do
+    # monic() and exact_div()
     ring = PolynomialRing(("x", "y", "z"), MonomialOrder.lex())
     f = Polynomial(ring, {(2, 0, 0): 2, (0, 1, 0): -4, (0, 0, 0): 6})
     g = Polynomial(ring, {(1, 1, 0): 3, (0, 0, 1): 1})
@@ -589,6 +610,10 @@ def test_kernel_returns_fraction_coefficients():
     results = [*groebner([f, g, h]), normal_form(f, [g, h]), normal_form(g * h, [f])]
     results += [s_polynomial(f, g), s_polynomial(g, h), s_polynomial(f, h)]
     results += groebner([ring.parse("x - 1"), ring.parse("x + 1")])  # the unit ideal
+    # monic() and exact_div() divide int coefficients exactly, not to floats
+    p = Polynomial(ring, {(2, 0, 0): 2, (0, 0, 0): 6})
+    assert p.monic() == ring.parse("x^2 + 3")
+    results += [p.monic(), *groebner([p.monic()]), p.exact_div(Polynomial(ring, {(0, 0, 0): 4}))]
     assert any(c.denominator == 1 for r in results for c in r.terms.values())
     for r in results:
         assert all(type(c) is Fraction for c in r.terms.values()), r
