@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .errors import CenterError
 from .geometry import dehomogenize, singular_locus
-from .ideals import Ideal, fresh_name
+from .ideals import Ideal, fresh_name, remembered
 from .polyring import Polynomial, PolynomialRing
 
 
@@ -114,7 +114,9 @@ def proper_transform(
     adds the step's graph relations, and saturates by the exceptional; this is
     how cycles, families and the centers of later blowups travel up the
     tower. Names in extra ride along unchanged (used for a family parameter
-    living on the base times a line).
+    living on the base times a line). Inside ideals.groebner_memo() each
+    step is done once, so sibling charts and prefix towers share the steps
+    of the lineage they share.
     """
     origin = dict(chart.origin_binding)
     ring0 = next(iter(origin.values())).ring
@@ -127,17 +129,21 @@ def proper_transform(
         start = {k: v.in_ring(cur) for k, v in origin.items()}
     current = Ideal(cur, (g.substitute(start, cur) for g in ideal.gens))
     for step in chart.lineage:
-        if step.exceptional is None:
-            continue
-        target = PolynomialRing(step.ring.names + extra) if extra else step.ring
-        if current.is_trivial():
-            current = Ideal(target, (target.one(),))
-            continue
-        move = {k: v.in_ring(target) for k, v in step.substitution_map().items()}
-        moved = tuple(g.substitute(move, target) for g in current.gens)
-        moved += tuple(g.in_ring(target) for g in step.graph)
-        current = Ideal(target, moved).saturate(step.exceptional.in_ring(target))
+        if step.exceptional is not None:
+            key = ("transform", step, extra, current.gens)
+            current = remembered(key, _transform_step, step, extra, current)
     return current
+
+
+def _transform_step(step: LineageStep, extra: tuple[str, ...], current: Ideal) -> Ideal:
+    """One blowup step of proper_transform."""
+    target = PolynomialRing(step.ring.names + extra) if extra else step.ring
+    if current.is_trivial():
+        return Ideal(target, (target.one(),))
+    move = {k: v.in_ring(target) for k, v in step.substitution_map().items()}
+    moved = tuple(g.substitute(move, target) for g in current.gens)
+    moved += tuple(g.in_ring(target) for g in step.graph)
+    return Ideal(target, moved).saturate(step.exceptional.in_ring(target))
 
 
 def _ratio_name(base: str, taken: set[str]) -> str:

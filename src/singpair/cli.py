@@ -266,9 +266,13 @@ def run_tasks(scenario: Scenario, flags: Flags, kind: str | None = None) -> dict
     """Execute the scenario's tasks in order, or only those of one kind,
     and assemble the report.
 
-    Each reduced basis is computed once per run (groebner_memo): the
-    workspace's charts, prefixes and tasks ask for many equal ideals, and
-    a basis already computed is charged to the first task that asked."""
+    Each reduced basis, factorization and strict-transform step is
+    computed once per run (groebner_memo): the workspace's charts,
+    prefixes and tasks ask for many equal ideals, factor the same
+    polynomials and move cycles up lineages that sibling charts share. A
+    basis already computed is charged to the first task that asked;
+    factorizations charge no step, and a remembered step's bases are
+    remembered too, so neither changes a task's step count."""
     ws = Workspace(scenario)
     started = time.monotonic()
     with groebner_memo():

@@ -15,7 +15,8 @@ sound and complete.
 Public entry points enforce the supported scope (univariate degree <= 8,
 multivariate total degree <= 4 in <= 3 variables) and raise FactorScopeError
 beyond it. Internal recursions relax the caps because encodings inflate
-degrees. Every factorization is checked by multiplying back.
+degrees. Every factorization is checked by multiplying back. Inside
+ideals.groebner_memo() each polynomial is factored once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from math import gcd as int_gcd
 from typing import Iterable
 
 from .errors import ExactDivisionError, FactorScopeError
+from .ideals import remembered
 from .polyring import Polynomial, PolynomialRing
 
 UNIVARIATE_CAP = 8
@@ -719,6 +721,11 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
     content = reduce(_poly_gcd, coeffs)
     if not content.is_constant():
         return out | _candidates(content) | _candidates(g.exact_div(content))
+    if len(coeffs) == 2:
+        # primitive and linear in xname: a proper factor would be free of
+        # xname and divide both coefficients
+        out.add(g.monic())
+        return out
     sq = _poly_gcd(g, g.differentiate(xname))
     if not sq.is_constant():
         return out | _candidates(sq) | _candidates(g.exact_div(sq))
@@ -779,7 +786,9 @@ def factor(f: Polynomial, relax_scope: bool = False) -> tuple[Fraction, list[tup
 
     Scope: at most 3 variables; univariate degree <= 8; multivariate total
     degree <= 4. FactorScopeError beyond that. relax_scope widens the degree
-    caps for internal callers whose inputs come from encodings.
+    caps for internal callers whose inputs come from encodings. Inside
+    groebner_memo() each polynomial is factored once; the scope gate runs
+    on every call.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -798,12 +807,17 @@ def factor(f: Polynomial, relax_scope: bool = False) -> tuple[Fraction, list[tup
             raise FactorScopeError(
                 f"total degree {f.total_degree()} exceeds {MULTIVARIATE_CAP} in several variables"
             )
+    const, factors = remembered(("factor", f), _checked_factorization, f)
+    return const, list(factors)
+
+
+def _checked_factorization(f: Polynomial) -> tuple[Fraction, tuple[tuple[Polynomial, int], ...]]:
     const, factors = _factor_in_ring(f)
     check = f.ring.const(const)
     for g, m in factors:
         check = check * g ** m
     assert check == f, "factor product check failed"
-    return const, factors
+    return const, tuple(factors)
 
 
 def is_irreducible(f: Polynomial) -> bool:

@@ -41,12 +41,20 @@ each distinct exponent tuple and coefficient once, shared within the basis
 and with recently built bases, which keeps bases cheap to hold on to. The
 interreduced input is used once inside the kernel and is not shared.
 
-Inside groebner_memo() each reduced basis is computed once: groebner()
-keys its nonzero generators, with their ring, and a later call with an
-equal list returns the stored basis and charges no step. The CLI opens
-one memo per scenario run, whose charts, tower prefixes and tasks ask
-for many equal ideals; outside a memo nothing is kept. A computation
-that raises (a budget running out) stores nothing.
+Inside groebner_memo() each pure result is computed once, keyed by
+values, never by object ids (an id is reused once its object is freed):
+
+- groebner() keys its nonzero generators, with their ring;
+- factor.factor() keys the polynomial; its scope gate runs on every call;
+- blowup.proper_transform() keys each lineage step by the step, the
+  passenger names and the generators it moves.
+
+A later request with an equal key gets the stored result and charges no
+step. The CLI opens one memo per scenario run, whose charts, tower
+prefixes and tasks ask for many equal ideals, factor the same
+polynomials and move cycles up lineages that sibling charts share;
+outside a memo nothing is kept. A computation that raises (a budget
+running out, a factorization out of scope) stores nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     BudgetExceededError,
@@ -75,6 +83,8 @@ from .polyring import (
 )
 
 DEFAULT_BUDGET = 1_000_000
+
+T = TypeVar("T")
 
 
 class _Meter:
@@ -104,21 +114,35 @@ def reduction_budget(limit: int) -> Iterator[_Meter]:
         _active_meter.reset(token)
 
 
-# reduced bases by (ring, nonzero generators), shared by the computations of
-# one scenario run; None outside groebner_memo(), where nothing is kept
+# pure results by a tagged value key, shared by the computations of one
+# scenario run; None outside groebner_memo(), where nothing is kept
 _active_memo: ContextVar[dict | None] = ContextVar("singpair_memo", default=None)
 
 
 @contextmanager
 def groebner_memo() -> Iterator[dict]:
-    """Compute each reduced basis once within a block: a later groebner() of
-    an equal generator list returns the stored basis and charges no step."""
+    """Compute each reduced basis, factorization and strict-transform step
+    once within a block: a later request with an equal key returns the
+    stored result and charges no step."""
     memo: dict = {}
     token = _active_memo.set(memo)
     try:
         yield memo
     finally:
         _active_memo.reset(token)
+
+
+def remembered(key: tuple, compute: Callable[..., T], *args) -> T:
+    """compute(*args), stored under key in the open groebner_memo() and
+    taken from there on a later call with an equal key; compute never
+    returns None. Outside a memo compute runs every time."""
+    memo = _active_memo.get()
+    if memo is None:
+        return compute(*args)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(*args)
+    return value
 
 
 def _charge() -> None:
@@ -389,14 +413,7 @@ def groebner(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
-    memo = _active_memo.get()
-    if memo is not None:
-        key = (gens[0].ring, tuple(gens))
-        basis = memo.get(key)
-        if basis is None:
-            basis = memo[key] = _reduced_basis(gens)
-        return basis
-    return _reduced_basis(gens)
+    return remembered(("groebner", gens[0].ring, tuple(gens)), _reduced_basis, gens)
 
 
 def _reduced_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:

@@ -189,8 +189,12 @@ class Packing:
     def pack(self, e: Exponents) -> int:
         """The packed monomial; ExponentOverflowError when e does not fit."""
         limit = self.limit
-        if self._blocks:
-            for block in self._blocks:
+        blocks = self._blocks
+        if len(blocks) == 1:  # grevlex: the block is every variable
+            if sum(e) > limit:
+                raise ExponentOverflowError(f"{e} has a block degree above {limit}")
+        elif blocks:
+            for block in blocks:
                 if sum(e[block]) > limit:
                     raise ExponentOverflowError(f"{e} has a block degree above {limit}")
         elif e and max(e) > limit:
@@ -285,16 +289,17 @@ class PolynomialRing:
 class Polynomial:
     """Immutable polynomial: exponent tuple -> nonzero Fraction.
 
-    _lm caches the leading monomial, which is safe because terms is never
-    mutated after construction.
+    _lm caches the leading monomial and _hash the hash, which is safe
+    because terms is never mutated after construction.
     """
 
-    __slots__ = ("ring", "terms", "_lm")
+    __slots__ = ("ring", "terms", "_lm", "_hash")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[Exponents, Fraction]) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
         object.__setattr__(self, "_lm", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -523,7 +528,11 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = hash((self.ring, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -131,6 +131,15 @@ def test_trivariate_quartic_factors_in_every_variable_order(names):
     assert const == first.leading_coefficient() * second.leading_coefficient()
 
 
+def test_linear_in_a_variable():
+    # primitive and linear in x: irreducible, with no gcd or lift
+    assert is_irreducible(R3.parse("x*y^2 + z^3 + y"))
+    # linear in x, but both coefficients in x share the factor y + 1
+    const, factors = factor(R3.parse("(y + 1)*(x*y + z)"))
+    assert const == 1
+    assert _as_set(factors) == {("y + 1", 1), ("x*y + z", 1)}
+
+
 def test_trivariate_irreducible_quadric():
     # rank-3 quadric: does not factor
     assert is_irreducible(R3.parse("x^2 - y^2 + z"))

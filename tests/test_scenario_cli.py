@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from singpair import ideals
-from singpair.blowup import ResolutionTower
+from singpair import blowup, ideals
+from singpair import factor as factor_module
+from singpair.blowup import ResolutionTower, proper_transform
 from singpair.cli import Flags, main, run_tasks
-from singpair.errors import BudgetExceededError, ScenarioError
+from singpair.errors import BudgetExceededError, FactorScopeError, ScenarioError
+from singpair.factor import factor
 from singpair.ideals import Ideal
 from singpair.polyring import PolynomialRing
 from singpair.scenario import Workspace, parse_scenario, validate_scenario
@@ -481,6 +483,84 @@ class TestGroebnerMemo:
         report = run_tasks(scenario, Flags(budget=3))
         assert any(row["status"] == "error:budget" for row in report["tasks"])
         assert ideals._active_memo.get() is None
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its first argument."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestFactorMemo:
+    """Within one run each polynomial is factored once; the scope gate
+    still runs on every call."""
+
+    def test_an_equal_polynomial_is_answered_from_the_memo(self, monkeypatch):
+        calls = _counting(monkeypatch, factor_module, "_factor_in_ring")
+        ring = PolynomialRing(("x", "y"))
+        with ideals.groebner_memo():
+            first = factor(ring.parse("x^2*y - y^3"))
+            again = factor(ring.parse("x^2*y - y^3"))
+        assert again == first
+        assert len(calls) == 1
+        assert factor(ring.parse("x^2*y - y^3")) == first
+        assert len(calls) == 2
+
+    def test_the_scope_gate_runs_on_a_stored_polynomial(self):
+        ring = PolynomialRing(("x", "y"))
+        f = ring.parse("(x^3 + y)*(x^2 - y)")
+        with ideals.groebner_memo():
+            _, factors = factor(f, relax_scope=True)
+            assert len(factors) == 2
+            with pytest.raises(FactorScopeError):
+                factor(f)
+
+
+class TestTransformMemo:
+    """Within one run each strict-transform step is done once, so sibling
+    charts share the steps of their common lineage."""
+
+    @staticmethod
+    def siblings():
+        # blow up the origin of the plane, then the point (0, 1) on one chart
+        ring = PolynomialRing(("x", "y"))
+        tower = ResolutionTower.affine(ring, ())
+        tower.blow_up((ring.parse("x"), ring.parse("y")))
+        tower.blow_up((ring.parse("x"), ring.parse("y - 1")))
+        first, second = [c for c in tower.leaves if c.name.startswith("aff/s1p0/")]
+        assert first.lineage[0] is second.lineage[0]
+        return first, second, Ideal.parse(ring, "x - y")
+
+    def test_sibling_charts_reuse_the_first_step(self, monkeypatch):
+        first, second, line = self.siblings()
+        outside = [proper_transform(c, line) for c in (first, second)]
+        steps = _counting(monkeypatch, blowup, "_transform_step")
+        with ideals.groebner_memo():
+            inside = [proper_transform(c, line) for c in (first, second)]
+        assert inside == outside
+        assert steps == [first.lineage[0], first.lineage[1], second.lineage[1]]
+
+    def test_a_step_that_runs_out_of_budget_stores_nothing(self):
+        first, _, line = self.siblings()
+        with ideals.reduction_budget(10**6) as meter:
+            outside = proper_transform(first, line)
+        with ideals.groebner_memo():
+            with pytest.raises(BudgetExceededError):
+                with ideals.reduction_budget(meter.used - 1):
+                    proper_transform(first, line)
+            with ideals.reduction_budget(10**6) as again:
+                retried = proper_transform(first, line)
+            with ideals.reduction_budget(10**6) as stored:
+                remembered = proper_transform(first, line)
+            assert retried == outside and again.used > 0
+            assert remembered is retried and stored.used == 0
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_reports.json"
