@@ -250,7 +250,7 @@ def strong_family_check(
                 )
             else:
                 entry["dominates"] = False
-                _, factors = factor(eliminant[0], relax_scope=True)
+                _, factors = factor(eliminant[0])
                 for q, _m in factors:
                     if q.degree_in(param) == 1:
                         # monic and linear: q = param - root

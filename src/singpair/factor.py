@@ -1,22 +1,24 @@
 """Polynomial factorization over the rationals in small degree.
 
-Univariate factorization is modular: the input is reduced to its squarefree
-part f / gcd(f, f') once, factored by Berlekamp over a small prime p, Hensel
-lifted to a Mignotte-sized modulus p^k, then recombined by subsets
-(Zassenhaus). One dense kernel (_p_mul, _p_add, _p_sub, _p_divmod) serves
-the Berlekamp prime and the Hensel modulus p^k alike: every divisor mod
-p^k is monic, so no inverse other than 1 is needed there. Multiplicities
-are recovered by trial division. Bivariate polynomials are factored by
-lifting a univariate factorization along a generic line y = c. Trivariate
-polynomials are packed into bivariate ones by exponent encoding; candidate
-factors are unpacked and verified by exact division, which keeps the method
-sound and complete.
+Every polynomial is first split by its monomial content, its content in
+its main variable and its squarefree part f / gcd(f, f'); all of this, and
+all other arithmetic over Q, runs on Polynomial. A squarefree univariate
+factor is then factored modularly: Berlekamp over a small prime p, Hensel
+lifting to a Mignotte-sized modulus p^k, recombination by subsets
+(Zassenhaus; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
+Dense coefficient lists hold only integers mod p or mod p^k, and one dense
+kernel (_p_mul, _p_add, _p_sub, _p_divmod) serves both moduli: every
+divisor mod p^k is monic, so no inverse other than 1 is needed there.
+Multiplicities are recovered by trial division. Bivariate polynomials are
+factored by lifting a univariate factorization along a generic line y = c.
+Trivariate polynomials are packed into bivariate ones by exponent encoding;
+candidate factors are unpacked and verified by exact division, which keeps
+the method sound and complete.
 
-Public entry points enforce the supported scope (univariate degree <= 8,
-multivariate total degree <= 4 in <= 3 variables) and raise FactorScopeError
-beyond it. Internal recursions relax the caps because encodings inflate
-degrees. Every factorization is checked by multiplying back. Inside
-ideals.groebner_memo() each polynomial is factored once.
+factor() takes at most MAX_VARS = 3 variables, of any degree, and raises
+FactorScopeError beyond that. Every factorization is checked by
+multiplying back. Inside ideals.groebner_memo() each polynomial is
+factored once.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .errors import ExactDivisionError, FactorScopeError
 from .ideals import remembered
 from .polyring import Polynomial, PolynomialRing
 
-UNIVARIATE_CAP = 8
-MULTIVARIATE_CAP = 4
 MAX_VARS = 3
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -50,79 +50,6 @@ def _trim(a: list) -> list:
 
 def _deg(a: list) -> int:
     return len(a) - 1
-
-
-def _q_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _q_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
-def _q_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    lc = b[-1]
-    while len(r) >= len(b) and r:
-        c = r[-1] / lc
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        _trim(r)
-    return _trim(q), r
-
-
-def _q_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _q_divmod(a, b)[1]
-    if a:
-        lc = a[-1]
-        a = [c / lc for c in a]
-    return a
-
-
-def _q_deriv(a: list[Fraction]) -> list[Fraction]:
-    return _trim([a[i] * i for i in range(1, len(a))])
-
-
-def _q_ext_euclid(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """s, t with s*a + t*b = 1, deg s < deg b and deg t < deg a (a, b coprime)."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _q_sub(s0, _q_mul(q, s1))
-        t0, t1 = t1, _q_sub(t0, _q_mul(q, t1))
-    if _deg(r0) != 0:
-        raise ValueError("inputs are not coprime")
-    c = r0[0]
-    s = [x / c for x in s0]
-    t = [x / c for x in t0]
-    # normalize degrees: s mod b, then t = (1 - s*a) / b exactly
-    _, s = _q_divmod(s, b)
-    num = _q_sub([Fraction(1)], _q_mul(s, a))
-    t, rem = _q_divmod(num, b)
-    assert not rem
-    return s, t
 
 
 def _int_primitive(coeffs: list[Fraction]) -> tuple[Fraction, list[int]]:
@@ -432,8 +359,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     out = []
     for g in found:
         scaled = [g[i] * lc ** i for i in range(len(g))]
-        _, prim = _int_primitive([Fraction(c) for c in scaled])
-        out.append(prim)
+        out.append(_int_primitive(scaled)[1])
     return out
 
 
@@ -461,13 +387,12 @@ def _from_dense(coeffs: list, ring: PolynomialRing, name: str) -> Polynomial:
 
 
 def _factor_univariate(f: Polynomial, name: str) -> set[Polynomial]:
-    """Monic irreducible factors of f; multiplicities are left to trial division."""
-    dense = _to_dense(f, name)
-    _, sqfree = _int_primitive(_q_divmod(dense, _q_gcd(dense, _q_deriv(dense)))[0])
-    return {_from_dense(irr, f.ring, name).monic() for irr in _zassenhaus(sqfree)}
+    """Monic irreducible factors of a squarefree f in one variable."""
+    _, prim = _int_primitive(_to_dense(f, name))
+    return {_from_dense(irr, f.ring, name).monic() for irr in _zassenhaus(prim)}
 
 
-def _x_coeffs(f: Polynomial, name: str) -> list[Polynomial]:
+def coefficients_in(f: Polynomial, name: str) -> list[Polynomial]:
     """Coefficients of f as a polynomial in name (low to high)."""
     ring = f.ring
     i = ring.index(name)
@@ -502,10 +427,10 @@ def _poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.degree_in(name) == 0 or g.degree_in(name) == 0:
         # one input is free of the chosen variable; gcd divides its coefficients
         free, other = (f, g) if f.degree_in(name) == 0 else (g, f)
-        cont = reduce(_poly_gcd, _x_coeffs(other, name))
+        cont = reduce(_poly_gcd, coefficients_in(other, name))
         return _poly_gcd(free, cont)
-    cf = reduce(_poly_gcd, _x_coeffs(f, name))
-    cg = reduce(_poly_gcd, _x_coeffs(g, name))
+    cf = reduce(_poly_gcd, coefficients_in(f, name))
+    cg = reduce(_poly_gcd, coefficients_in(g, name))
     c = _poly_gcd(cf, cg)
     a = f.exact_div(cf)
     b = g.exact_div(cg)
@@ -517,21 +442,23 @@ def _poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             break
         if r.degree_in(name) == 0:
             return c.monic()
-        cont = reduce(_poly_gcd, _x_coeffs(r, name))
-        a, b = b, r.exact_div(cont)
-    pp = b.exact_div(reduce(_poly_gcd, _x_coeffs(b, name)))
+        # in one variable the content is a constant; monic keeps the
+        # remainders' coefficients from growing at every step
+        cont = reduce(_poly_gcd, coefficients_in(r, name))
+        a, b = b, r.exact_div(cont).monic()
+    pp = b.exact_div(reduce(_poly_gcd, coefficients_in(b, name)))
     return (c * pp).monic()
 
 
 def _pseudo_rem(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
     """lc(g)^k * f mod g in name, k the number of steps; only its primitive part is used."""
     dg = g.degree_in(name)
-    lc_g = _x_coeffs(g, name)[dg]
+    lc_g = coefficients_in(g, name)[dg]
     r = f
     x = f.ring.var(name)
     while not r.is_zero() and r.degree_in(name) >= dg:
         dr = r.degree_in(name)
-        lead = _x_coeffs(r, name)[dr]
+        lead = coefficients_in(r, name)[dr]
         r = r * lc_g - lead * x ** (dr - dg) * g
     return r
 
@@ -554,7 +481,7 @@ def _xu_divmod_monic(
     r = _trunc(f, uname, prec)
     while not r.is_zero() and r.degree_in(xname) >= dg:
         dr = r.degree_in(xname)
-        lead = _x_coeffs(r, xname)[dr]
+        lead = coefficients_in(r, xname)[dr]
         shift = lead * x ** (dr - dg)
         q = q + shift
         r = _trunc(r - shift * g, uname, prec)
@@ -588,6 +515,23 @@ def _xu_hensel_pair(
     return g, h
 
 
+def _xu_bezout(
+    g: Polynomial, h: Polynomial, xname: str, uname: str
+) -> tuple[Polynomial, Polynomial]:
+    """s, t with s*g + t*h = 1, deg s < deg h and deg t < deg g, for coprime
+    g and h that are monic in xname and free of uname: extended Euclid on
+    monic remainders, which tracks s only (s*g = r mod h throughout)."""
+    r0, r1 = g, h
+    s0, s1 = g.ring.one(), g.ring.zero()
+    while not r1.is_constant():
+        q, r = _xu_divmod_monic(r0, r1, xname, uname, 1)
+        inverse = 1 / r.leading_coefficient()
+        r0, r1 = r1, r * inverse
+        s0, s1 = s1, (s0 - q * s1) * inverse
+    s = _xu_divmod_monic(s1, h, xname, uname, 1)[1]
+    return s, (1 - s * g).exact_div(h)
+
+
 def _xu_hensel_multi(
     F: Polynomial, facs: list[Polynomial], xname: str, uname: str, K: int
 ) -> list[Polynomial]:
@@ -601,9 +545,7 @@ def _xu_hensel_multi(
     h0 = ring.one()
     for piece in facs[k:]:
         h0 = h0 * piece
-    s_dense, t_dense = _q_ext_euclid(_to_dense(g0, xname), _to_dense(h0, xname))
-    s = _from_dense(s_dense, ring, xname)
-    t = _from_dense(t_dense, ring, xname)
+    s, t = _xu_bezout(g0, h0, xname, uname)
     g, h = _xu_hensel_pair(F, g0, h0, s, t, xname, uname, K)
     return _xu_hensel_multi(g, facs[:k], xname, uname, K) + _xu_hensel_multi(
         h, facs[k:], xname, uname, K
@@ -617,18 +559,13 @@ def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | No
     """
     ring = g.ring
     n = g.degree_in(xname)
-    lc_poly = _x_coeffs(g, xname)[n]
     c_found = None
     for magnitude in range(0, 51):
         for c in ({0} if magnitude == 0 else {magnitude, -magnitude}):
-            if lc_poly.evaluate({uname: c, xname: 0}) == 0:
-                continue
-            fiber = [Fraction(0)] * (n + 1)
-            for e, coeff in g.terms.items():
-                ix, iu = ring.index(xname), ring.index(uname)
-                fiber[e[ix]] += coeff * Fraction(c) ** e[iu]
-            fiber = _trim(fiber)
-            if _deg(fiber) == n and _deg(_q_gcd(fiber, _q_deriv(fiber))) == 0:
+            fiber = g.substitute({uname: c})
+            if fiber.degree_in(xname) == n and _poly_gcd(
+                fiber, fiber.differentiate(xname)
+            ).is_constant():
                 c_found = c
                 break
         if c_found is not None:
@@ -638,23 +575,19 @@ def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | No
     u = ring.var(uname)
     x = ring.var(xname)
     gt = g.substitute({uname: u + c_found}, ring)
-    L = _x_coeffs(gt, xname)[n]
+    L = coefficients_in(gt, xname)[n]
     # monicize: Fhat = L^(n-1) * gt(x / L)
-    coeffs = _x_coeffs(gt, xname)
+    coeffs = coefficients_in(gt, xname)
     Fhat = ring.zero()
     for i in range(n):
         Fhat = Fhat + coeffs[i] * L ** (n - 1 - i) * x ** i
     Fhat = Fhat + x ** n
     K = Fhat.degree_in(uname) + 1
-    f0 = [coeff.evaluate({uname: 0, xname: 0}) for coeff in _x_coeffs(Fhat, xname)]
-    _, f0_int = _int_primitive(f0)
-    pieces = _zassenhaus(f0_int)
+    _, f0 = _int_primitive(_to_dense(Fhat.substitute({uname: 0}), xname))
+    pieces = _zassenhaus(f0)
     if len(pieces) == 1:
         return None
-    base = []
-    for piece in pieces:
-        dense = [Fraction(cc, piece[-1]) for cc in piece]
-        base.append(_from_dense(dense, ring, xname))
+    base = [_from_dense(piece, ring, xname).monic() for piece in pieces]
     base.sort(key=lambda p: (p.degree_in(xname), str(p)))
     lifted = _xu_hensel_multi(Fhat, base, xname, uname, K)
     pool = list(range(len(lifted)))
@@ -669,7 +602,7 @@ def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | No
                 continue
             # map back: x -> L*x, strip content in u, undo the translation
             raw = cand.substitute({xname: L * x}, ring)
-            cont = reduce(_poly_gcd, _x_coeffs(raw, xname))
+            cont = reduce(_poly_gcd, coefficients_in(raw, xname))
             h = raw.exact_div(cont)
             h = h.substitute({uname: u - c_found}, ring)
             if not h.is_constant() and h.divides(g):
@@ -713,11 +646,9 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
     if g.is_constant():
         return out
     used = sorted(g.variables_used(), key=ring.index)
-    if len(used) == 1:
-        return out | _factor_univariate(g, used[0])
     xname = _main_variable(used, g)
     others = [name for name in used if name != xname]
-    coeffs = _x_coeffs(g, xname)
+    coeffs = coefficients_in(g, xname)
     content = reduce(_poly_gcd, coeffs)
     if not content.is_constant():
         return out | _candidates(content) | _candidates(g.exact_div(content))
@@ -729,6 +660,8 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
     sq = _poly_gcd(g, g.differentiate(xname))
     if not sq.is_constant():
         return out | _candidates(sq) | _candidates(g.exact_div(sq))
+    if len(used) == 1:
+        return out | _factor_univariate(g, xname)
     if len(used) == 2:
         h = _bivariate_divisor(g, xname, others[0])
         if h is None:
@@ -763,7 +696,7 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
 
 
 def _factor_in_ring(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
-    """Factorization within f's own ring, no scope gating."""
+    """Factorization within f's own ring, unchecked and not remembered."""
     candidates = sorted(_candidates(f), key=lambda p: (p.total_degree(), str(p)))
     work = f
     out: list[tuple[Polynomial, int]] = []
@@ -781,32 +714,21 @@ def _factor_in_ring(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int
     return work.constant_value(), out
 
 
-def factor(f: Polynomial, relax_scope: bool = False) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
+def factor(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
     """f = constant * product of monic irreducible powers.
 
-    Scope: at most 3 variables; univariate degree <= 8; multivariate total
-    degree <= 4. FactorScopeError beyond that. relax_scope widens the degree
-    caps for internal callers whose inputs come from encodings. Inside
-    groebner_memo() each polynomial is factored once; the scope gate runs
-    on every call.
+    FactorScopeError for more than MAX_VARS variables, and when the method
+    gives up: no usable prime, no good evaluation line, or a packed image
+    with too many factors to recombine. The degree is not bounded. Inside
+    groebner_memo() each polynomial is factored once.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.is_constant():
         return f.constant_value(), []
-    used = sorted(f.variables_used(), key=f.ring.index)
-    if len(used) > MAX_VARS:
-        raise FactorScopeError(f"{len(used)} variables exceed the supported {MAX_VARS}")
-    if not relax_scope:
-        if len(used) == 1:
-            if f.degree_in(used[0]) > UNIVARIATE_CAP:
-                raise FactorScopeError(
-                    f"univariate degree {f.degree_in(used[0])} exceeds {UNIVARIATE_CAP}"
-                )
-        elif f.total_degree() > MULTIVARIATE_CAP:
-            raise FactorScopeError(
-                f"total degree {f.total_degree()} exceeds {MULTIVARIATE_CAP} in several variables"
-            )
+    nvars = len(f.variables_used())
+    if nvars > MAX_VARS:
+        raise FactorScopeError(f"{nvars} variables exceed the supported {MAX_VARS}")
     const, factors = remembered(("factor", f), _checked_factorization, f)
     return const, list(factors)
 

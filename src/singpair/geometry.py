@@ -62,7 +62,7 @@ def radical_zero_dim(ideal: Ideal) -> Ideal:
     for name in ring.names:
         h = _eliminant(ideal, ring.var(name))
         dense_ring = h.ring
-        _, factors = factor(h, relax_scope=True)
+        _, factors = factor(h)
         sqfree = dense_ring.one()
         for g, _m in factors:
             sqfree = sqfree * g
@@ -95,7 +95,7 @@ def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
             break
     assert form is not None, "no separating linear form found"
     uname = eliminant.ring.names[0]
-    _, irreducibles = factor(eliminant, relax_scope=True)
+    _, irreducibles = factor(eliminant)
     pieces = sorted((g for g, _m in irreducibles), key=lambda g: (g.total_degree(), str(g)))
     images = [g.substitute({uname: form}, ring) for g in pieces]
     components = []

@@ -45,7 +45,7 @@ Inside groebner_memo() each pure result is computed once, keyed by
 values, never by object ids (an id is reused once its object is freed):
 
 - groebner() keys its nonzero generators, with their ring;
-- factor.factor() keys the polynomial; its scope gate runs on every call;
+- factor.factor() keys the polynomial;
 - blowup.proper_transform() keys each lineage step by the step, the
   passenger names and the generators it moves.
 
@@ -330,7 +330,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
         return f
     ring = f.ring
     for g in basis:
-        if g.ring is not ring and g.ring != ring:
+        if g.ring != ring:
             raise RingMismatchError(f"{ring} vs {g.ring}")
 
     def run(packing: Packing) -> dict:
@@ -346,7 +346,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     The leading terms cancel exactly and are left out; a monic operand is
     not rescaled.
     """
-    if f.ring is not g.ring and f.ring != g.ring:
+    if f.ring != g.ring:
         raise RingMismatchError(f"{f.ring} vs {g.ring}")
 
     def run(packing: Packing) -> dict:

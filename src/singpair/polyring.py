@@ -246,6 +246,14 @@ class PolynomialRing:
         if self.order.kind == "elim" and not 0 < self.order.block < len(self.names):
             raise ValueError("elimination block must split the variables")
 
+    def __eq__(self, other: object) -> bool:
+        # nearly every arithmetic call compares rings, mostly a ring with itself
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.order) == (other.names, other.order)
+
     @property
     def nvars(self) -> int:
         return len(self.names)

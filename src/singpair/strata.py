@@ -40,10 +40,9 @@ from dataclasses import dataclass
 
 from .blowup import Chart, ResolutionTower, graph_ideal
 from .errors import CompleteIntersectionError, EmptyVarietyError, FactorScopeError
-from .factor import factor
+from .factor import coefficients_in, factor
 from .geometry import center_quadratic_form, quadric_rank_drop, singular_locus
 from .ideals import Ideal
-from .polyring import Polynomial
 
 PRESETS = {
     "curve_recipe": ("images", "singular_images", "components"),
@@ -76,7 +75,7 @@ def split_components(ideal: Ideal) -> list[Ideal]:
         split = None
         for g in gb:
             try:
-                _, factors = factor(g, relax_scope=True)
+                _, factors = factor(g)
             except FactorScopeError:
                 continue
             if len(factors) > 1 or (factors and factors[0][1] > 1):
@@ -333,7 +332,7 @@ class Stratification:
                     d = g.degree_in(v)
                     if d < 1:
                         continue
-                    lc = self._leading_coefficient_in(g, v)
+                    lc = coefficients_in(g, v)[-1]
                     if lc.is_constant():
                         continue
                     lc_base = lc.substitute(rename, base)
@@ -345,16 +344,6 @@ class Stratification:
                     if d is not None and d < center_dims[s]:
                         found[key] = (s, candidate)
         return sorted(found.values(), key=lambda t: (t[0], str(t[1].canonical_key())))
-
-    @staticmethod
-    def _leading_coefficient_in(g: Polynomial, name: str) -> Polynomial:
-        ring = g.ring
-        i = ring.index(name)
-        d = max(e[i] for e in g.terms)
-        # terms of top degree in name differ outside position i, so none collide
-        return Polynomial(
-            ring, {(*e[:i], 0, *e[i + 1 :]): c for e, c in g.terms.items() if e[i] == d}
-        )
 
     # -- access --------------------------------------------------------------------
 

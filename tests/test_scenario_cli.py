@@ -10,7 +10,7 @@ from singpair import blowup, ideals
 from singpair import factor as factor_module
 from singpair.blowup import ResolutionTower, proper_transform
 from singpair.cli import Flags, main, run_tasks
-from singpair.errors import BudgetExceededError, FactorScopeError, ScenarioError
+from singpair.errors import BudgetExceededError, ScenarioError
 from singpair.factor import factor
 from singpair.ideals import Ideal
 from singpair.polyring import PolynomialRing
@@ -499,8 +499,7 @@ def _counting(monkeypatch, module, name):
 
 
 class TestFactorMemo:
-    """Within one run each polynomial is factored once; the scope gate
-    still runs on every call."""
+    """Within one run each polynomial is factored once."""
 
     def test_an_equal_polynomial_is_answered_from_the_memo(self, monkeypatch):
         calls = _counting(monkeypatch, factor_module, "_factor_in_ring")
@@ -512,15 +511,6 @@ class TestFactorMemo:
         assert len(calls) == 1
         assert factor(ring.parse("x^2*y - y^3")) == first
         assert len(calls) == 2
-
-    def test_the_scope_gate_runs_on_a_stored_polynomial(self):
-        ring = PolynomialRing(("x", "y"))
-        f = ring.parse("(x^3 + y)*(x^2 - y)")
-        with ideals.groebner_memo():
-            _, factors = factor(f, relax_scope=True)
-            assert len(factors) == 2
-            with pytest.raises(FactorScopeError):
-                factor(f)
 
 
 class TestTransformMemo:

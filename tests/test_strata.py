@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from singpair.blowup import ResolutionTower, graph_ideal
+from singpair.factor import coefficients_in
 from singpair.ideals import Ideal
 from singpair.polyring import PolynomialRing
 from singpair.scenario import Workspace, parse_scenario
@@ -205,7 +206,7 @@ class ReferenceStratification(Stratification):
                     d = g.degree_in(v)
                     if d < 1:
                         continue
-                    lc = self._leading_coefficient_in(g, v)
+                    lc = coefficients_in(g, v)[-1]
                     if lc.is_constant():
                         continue
                     lc_base = lc.substitute(rename, base)
