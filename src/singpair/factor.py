@@ -52,8 +52,8 @@ def _deg(a: list) -> int:
     return len(a) - 1
 
 
-def _int_primitive(coeffs: list[Fraction]) -> tuple[Fraction, list[int]]:
-    """content * primitive integer polynomial with positive leading coefficient."""
+def _int_primitive(coeffs: list) -> list[int]:
+    """The primitive integer multiple of coeffs with positive leading coefficient."""
     coeffs = [Fraction(c) for c in coeffs]
     if not _trim(list(coeffs)):
         raise ValueError("zero polynomial")
@@ -66,8 +66,7 @@ def _int_primitive(coeffs: list[Fraction]) -> tuple[Fraction, list[int]]:
         g = int_gcd(g, abs(c))
     ints = [c // g for c in ints]
     sign = 1 if ints[-1] > 0 else -1
-    ints = [sign * c for c in ints]
-    return Fraction(sign * g, denom), _trim(ints)
+    return _trim([sign * c for c in ints])
 
 
 def _int_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -359,7 +358,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     out = []
     for g in found:
         scaled = [g[i] * lc ** i for i in range(len(g))]
-        out.append(_int_primitive(scaled)[1])
+        out.append(_int_primitive(scaled))
     return out
 
 
@@ -388,7 +387,7 @@ def _from_dense(coeffs: list, ring: PolynomialRing, name: str) -> Polynomial:
 
 def _factor_univariate(f: Polynomial, name: str) -> set[Polynomial]:
     """Monic irreducible factors of a squarefree f in one variable."""
-    _, prim = _int_primitive(_to_dense(f, name))
+    prim = _int_primitive(_to_dense(f, name))
     return {_from_dense(irr, f.ring, name).monic() for irr in _zassenhaus(prim)}
 
 
@@ -583,7 +582,7 @@ def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | No
         Fhat = Fhat + coeffs[i] * L ** (n - 1 - i) * x ** i
     Fhat = Fhat + x ** n
     K = Fhat.degree_in(uname) + 1
-    _, f0 = _int_primitive(_to_dense(Fhat.substitute({uname: 0}), xname))
+    f0 = _int_primitive(_to_dense(Fhat.substitute({uname: 0}), xname))
     pieces = _zassenhaus(f0)
     if len(pieces) == 1:
         return None
