@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .errors import ExactDivisionError, FactorScopeError
 from .ideals import remembered
-from .polyring import Polynomial, PolynomialRing
+from .polyring import Polynomial, PolynomialRing, Scalar
 
 MAX_VARS = 3
 
@@ -524,7 +524,7 @@ def _xu_bezout(
     s0, s1 = g.ring.one(), g.ring.zero()
     while not r1.is_constant():
         q, r = _xu_divmod_monic(r0, r1, xname, uname, 1)
-        inverse = 1 / r.leading_coefficient()
+        inverse = Fraction(1, r.leading_coefficient())
         r0, r1 = r1, r * inverse
         s0, s1 = s1, (s0 - q * s1) * inverse
     s = _xu_divmod_monic(s1, h, xname, uname, 1)[1]
@@ -694,7 +694,7 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
     return out
 
 
-def _factor_in_ring(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
+def _factor_in_ring(f: Polynomial) -> tuple[Scalar, list[tuple[Polynomial, int]]]:
     """Factorization within f's own ring, unchecked and not remembered."""
     candidates = sorted(_candidates(f), key=lambda p: (p.total_degree(), str(p)))
     work = f
@@ -713,7 +713,7 @@ def _factor_in_ring(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int
     return work.constant_value(), out
 
 
-def factor(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
+def factor(f: Polynomial) -> tuple[Scalar, list[tuple[Polynomial, int]]]:
     """f = constant * product of monic irreducible powers.
 
     FactorScopeError for more than MAX_VARS variables, and when the method
@@ -732,7 +732,7 @@ def factor(f: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
     return const, list(factors)
 
 
-def _checked_factorization(f: Polynomial) -> tuple[Fraction, tuple[tuple[Polynomial, int], ...]]:
+def _checked_factorization(f: Polynomial) -> tuple[Scalar, tuple[tuple[Polynomial, int], ...]]:
     const, factors = _factor_in_ring(f)
     check = f.ring.const(const)
     for g, m in factors:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .factor import factor
 from .ideals import Ideal, fresh_name
-from .polyring import Polynomial, PolynomialRing
+from .polyring import Polynomial, PolynomialRing, Scalar
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class PrimaryComponent:
     primary: Ideal
     multiplicity: int
     residue_degree: int
-    point: dict[str, Fraction] | None  # rational coordinates when degree 1
+    point: dict[str, Scalar] | None  # rational coordinates when degree 1
 
     @property
     def local_length(self) -> int:
@@ -134,7 +134,7 @@ def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
     return components
 
 
-def rational_points(ideal: Ideal) -> list[dict[str, Fraction]]:
+def rational_points(ideal: Ideal) -> list[dict[str, Scalar]]:
     """Rational points of a zero-dimensional ideal, deterministic order."""
     pts = [c.point for c in zero_dim_decompose(ideal) if c.point is not None]
     names = ideal.ring.names
@@ -209,7 +209,7 @@ def is_smooth(relations: Ideal) -> bool:
 # -- quadratic form along a center ---------------------------------------------
 
 
-def _affine_coordinate(g: Polynomial) -> tuple[str, Fraction, Fraction] | None:
+def _affine_coordinate(g: Polynomial) -> tuple[str, Scalar, Scalar] | None:
     """Decompose g = scale * name + shift when g is affine in one variable."""
     used = g.variables_used()
     if len(used) != 1:
@@ -248,7 +248,10 @@ def center_quadratic_form(
         pieces.append(got)
     # move the center to the coordinate origin: v -> v - shift/scale
     shifted = f.substitute(
-        {name: ring.var(name) - ring.const(shift / scale) for name, scale, shift in pieces},
+        {
+            name: ring.var(name) - ring.const(Fraction(shift, scale))
+            for name, scale, shift in pieces
+        },
         ring,
     )
     indices = [ring.index(name) for name, _s, _c in pieces]

@@ -9,13 +9,14 @@ caller scopes one explicitly with reduction_budget(); nested computations
 The kernel works on packed monomials (polyring.Packing): each exponent
 tuple is one int laid out for the ring's order, so comparing monomials
 compares ints, multiplying them adds ints, and a divisibility test is one
-addition and one mask. Integral coefficients are Python ints and the
-others Fractions; a quotient is exact and an int whenever it is integral.
-The generators are packed once on entry and the reduced basis unpacked
-once on exit, back to exponent tuples and Fractions, so Polynomial never
-sees a packed monomial. When a computation makes a monomial its fields
-cannot hold, it is repeated on wider fields, and the steps the first try
-charged are given back. normal_form, s_polynomial and _interreduce wrap
+addition and one mask. Coefficients follow Polynomial's convention, an
+int when integral and a Fraction otherwise; a quotient is exact and an int
+whenever it is integral. The generators are packed once on entry and the
+reduced basis unpacked once on exit, back to exponent tuples, so
+Polynomial never sees a packed monomial. A kernel sum of Fractions can be
+integral; unpacking turns it into its int. When a computation makes a
+monomial its fields cannot hold, it is repeated on wider fields, and the
+steps the first try charged are given back. normal_form, s_polynomial and _interreduce wrap
 the same kernel for polynomials.
 
 Division works in place: one mutable dict of terms and a heap of their
@@ -62,7 +63,6 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -78,6 +78,7 @@ from .polyring import (
     Packing,
     Polynomial,
     PolynomialRing,
+    _quotient,
     exp_divides,
     exp_lcm,
 )
@@ -163,29 +164,24 @@ def fresh_name(taken: Iterable[str], base: str = "_t") -> str:
 
 # -- reduction and Buchberger -------------------------------------------------
 
-# Inside the kernel a polynomial is a dict from packed monomials to
-# coefficients: an int when the coefficient is integral, a Fraction otherwise.
+# Inside the kernel a polynomial is a dict from packed monomials to nonzero
+# coefficients: an int when the coefficient is integral, a Fraction otherwise,
+# except that a sum of Fractions may be an integral Fraction.
 
 
 def _pack(packing: Packing, f: Polynomial) -> dict:
-    pack = packing.pack
-    return {pack(e): c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
+    return dict(zip(map(packing.pack, f.terms), f.terms.values()))
 
 
 def _unpack(ring: PolynomialRing, packing: Packing, terms: dict) -> Polynomial:
     unpack = packing.unpack
-    return Polynomial(
-        ring, {unpack(m): Fraction(c) if c.__class__ is int else c for m, c in terms.items()}
+    return Polynomial._new(
+        ring,
+        {
+            unpack(m): c if c.__class__ is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items()
+        },
     )
-
-
-def _quotient(a, b):
-    """a / b exactly: an int when it is integral, a Fraction otherwise."""
-    if a.__class__ is int and b.__class__ is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b
-    return q.numerator if q.denominator == 1 else q
 
 
 def _monic(terms: dict) -> dict:
@@ -375,8 +371,10 @@ def _interreduce(polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 # are cached on their ideals and often kept, and bases built one after
 # another repeat most monomials and many coefficients, also across variable
 # orders: on the groebner_systems benchmark about 54% of the values a basis
-# stores repeat within that basis, and 66-84% are found here. Emptied when
-# it passes _POOL_LIMIT entries, which bounds what it pins.
+# stores repeat within that basis, and 66-84% are found here. Coefficients
+# are made ints where integral before they are shared, so the pool never
+# hands out an integral Fraction for an int. Emptied when it passes
+# _POOL_LIMIT entries, which bounds what it pins.
 _POOL_LIMIT = 4096
 _pool: dict = {}
 
@@ -384,26 +382,21 @@ _pool: dict = {}
 def _share_storage(
     ring: PolynomialRing, packing: Packing, basis: Sequence[dict]
 ) -> tuple[Polynomial, ...]:
-    """The kernel's polynomials unpacked, their coefficients as Fractions,
-    with equal exponent tuples and equal coefficients stored once, within
-    the basis and with recent bases."""
+    """The kernel's polynomials unpacked, with equal exponent tuples and
+    equal coefficients stored once, within the basis and with recent
+    bases."""
     if len(_pool) > _POOL_LIMIT:
         _pool.clear()
-    share, known, unpack = _pool.setdefault, _pool.get, packing.unpack
+    share, unpack = _pool.setdefault, packing.unpack
     out = []
     for g in basis:
         terms = {}
         for m, c in g.items():
             e = unpack(m)
-            if c.__class__ is int:
-                # an int and the equal Fraction are one key of the pool
-                value = known(c)
-                if value is None:
-                    value = _pool[c] = Fraction(c)
-            else:
-                value = share(c, c)
-            terms[share(e, e)] = value
-        out.append(Polynomial(ring, terms))
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            terms[share(e, e)] = share(c, c)
+        out.append(Polynomial._new(ring, terms))
     return tuple(out)
 
 

@@ -1,10 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Polynomials are immutable: a ring (variable names plus a monomial order) and
-a mapping from exponent tuples to nonzero Fraction coefficients. Everything
+a mapping from exponent tuples to nonzero coefficients. Everything
 downstream (Groebner bases, blowup charts, intersection multiplicities)
-assumes exact arithmetic, so coefficients are fractions.Fraction throughout
-and no floating point ever enters.
+assumes exact arithmetic, so a coefficient is an int exactly when it is
+integral and a fractions.Fraction otherwise, never a float. The Groebner
+kernel keeps the same convention, so nothing converts at its boundary, and
+int arithmetic serves the small integers nearly every coefficient is. Equal
+ints and Fractions hash and compare equal, so the convention changes no key.
 
 Monomial orders are first-class values because elimination steps need block
 orders and canonical output needs one agreed order per ring. Each order
@@ -18,13 +21,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, neg, sub
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Mapping, Union
 
 from .errors import ExactDivisionError, ExponentOverflowError, PolyParseError, RingMismatchError
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
+
+
+def _coefficient(value: object) -> Scalar:
+    """value as a coefficient: an int when it is integral, a Fraction
+    otherwise. TypeError for anything else, floats included: a float is
+    not exact."""
+    if isinstance(value, int):
+        return int(value)  # a bool becomes 0 or 1
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
+
+
+def _integral(terms: dict) -> dict:
+    """terms, each integral Fraction replaced by its int in place."""
+    for e, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an int when it is integral, a Fraction otherwise."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def exp_add(a: Exponents, b: Exponents) -> Exponents:
@@ -267,22 +298,20 @@ class PolynomialRing:
     def var(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial._new(self, {tuple(exps): 1})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.var(n) for n in self.names)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._new(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def const(self, value: Scalar) -> "Polynomial":
-        value = Fraction(value)
-        if value == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: value})
+        value = _coefficient(value)
+        return Polynomial._new(self, {(0,) * self.nvars: value} if value else {})
 
     def with_order(self, order: MonomialOrder) -> "PolynomialRing":
         return PolynomialRing(self.names, order)
@@ -295,19 +324,40 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """Immutable polynomial: exponent tuple -> nonzero Fraction.
+    """Immutable polynomial: exponent tuple -> nonzero coefficient, an int
+    when integral and a Fraction otherwise.
 
-    _lm caches the leading monomial and _hash the hash, which is safe
-    because terms is never mutated after construction.
+    The constructor copies terms, drops zeros, turns integral Fractions into
+    ints and raises TypeError on a float or any other non-rational value.
+    Arithmetic that builds a fresh dict in that form wraps it with _new,
+    without a second copy. _lm caches the leading monomial and _hash the
+    hash, which is safe because terms is never mutated after construction.
     """
 
     __slots__ = ("ring", "terms", "_lm", "_hash")
 
-    def __init__(self, ring: PolynomialRing, terms: Mapping[Exponents, Fraction]) -> None:
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
-        object.__setattr__(self, "_lm", None)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, ring: PolynomialRing, terms: Mapping[Exponents, Scalar]) -> None:
+        clean = {}
+        for e, c in terms.items():
+            if c.__class__ is not int:
+                c = _coefficient(c)
+            if c:
+                clean[e] = c
+        _set_ring(self, ring)
+        _set_terms(self, clean)
+        _set_lm(self, None)
+        _set_hash(self, None)
+
+    @classmethod
+    def _new(cls, ring: PolynomialRing, terms: dict) -> "Polynomial":
+        """A polynomial that takes terms as they are, not copied: a fresh
+        dict whose coefficients are nonzero and already ints when integral."""
+        p = _object_new(cls)
+        _set_ring(p, ring)
+        _set_terms(p, terms)
+        _set_lm(p, None)
+        _set_hash(p, None)
+        return p
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -320,9 +370,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
@@ -351,7 +401,7 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in decreasing monomial order."""
         key = self.ring.order.sort_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
@@ -363,10 +413,10 @@ class Polynomial:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading monomial")
             lm = max(self.terms, key=self.ring.order.sort_key)
-            object.__setattr__(self, "_lm", lm)
+            _set_lm(self, lm)
         return lm
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Polynomial":
@@ -375,8 +425,7 @@ class Polynomial:
         lc = self.leading_coefficient()
         if lc == 1:
             return self
-        inverse = 1 / Fraction(lc)
-        return Polynomial(self.ring, {e: c * inverse for e, c in self.terms.items()})
+        return Polynomial._new(self.ring, {e: _quotient(c, lc) for e, c in self.terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -385,7 +434,9 @@ class Polynomial:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ring.const(other)
         self._check(other)
         terms = dict(self.terms)
@@ -396,32 +447,40 @@ class Polynomial:
             else:
                 s = old + c
                 if s:
-                    terms[e] = s
+                    terms[e] = s if s.__class__ is int or s.denominator != 1 else s.numerator
                 else:
                     del terms[e]
-        return Polynomial(self.ring, terms)
+        return Polynomial._new(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._new(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ring.const(other)
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return self.ring.const(other) - self
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coefficient(other)
+            if not other:
                 return self.ring.zero()
-            return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._new(
+                self.ring, _integral({e: c * other for e, c in self.terms.items()})
+            )
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exp_add(e1, e2)
@@ -434,7 +493,7 @@ class Polynomial:
                         terms[e] = s
                     else:
                         del terms[e]
-        return Polynomial(self.ring, terms)
+        return Polynomial._new(self.ring, _integral(terms))
 
     __rmul__ = __mul__
 
@@ -483,11 +542,11 @@ class Polynomial:
             except ExponentOverflowError:
                 packing = order.packing(n, 2 * packing.bits)
         lead = other.leading_monomial()
-        inverse = 1 / Fraction(other.terms[lead])
+        lc = other.terms[lead]
         guards, valid = packing.guards, packing.valid
         heap = [-m for m in terms]
         heapify(heap)
-        quotient: dict[int, Fraction] = {}
+        quotient: dict[int, Scalar] = {}
         try:
             lm = packing.pack(lead)
             tail = [(packing.pack(e), c) for e, c in other.terms.items() if e != lead]
@@ -499,7 +558,7 @@ class Polynomial:
                 if not packing.divides(lm, m):
                     break
                 shift = m - lm
-                q = quotient[shift] = c * inverse
+                q = quotient[shift] = _quotient(c, lc)
                 for e, d in tail:
                     t = e + shift
                     if t & guards != valid:
@@ -516,7 +575,9 @@ class Polynomial:
                             del terms[t]
             else:
                 unpack, zero = packing.unpack, packing.zero
-                return Polynomial(self.ring, {unpack(s + zero): q for s, q in quotient.items()})
+                return Polynomial._new(
+                    self.ring, {unpack(s + zero): q for s, q in quotient.items()}
+                )
         except ExponentOverflowError:
             pass  # other, or a product, does not fit the fields that hold self
         raise ExactDivisionError(f"{other} does not divide {self}")
@@ -531,7 +592,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
@@ -539,7 +600,7 @@ class Polynomial:
         h = self._hash
         if h is None:
             h = hash((self.ring, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __bool__(self) -> bool:
@@ -568,11 +629,11 @@ class Polynomial:
         images: dict[str, Polynomial] = {}
         for name, value in bindings.items():
             self.ring.index(name)  # reject bindings for foreign variables
-            if isinstance(value, (int, Fraction)):
+            if not isinstance(value, Polynomial):
                 images[name] = ring.const(value)
+            elif value.ring != ring:
+                raise RingMismatchError("binding values must share the target ring")
             else:
-                if value.ring != ring:
-                    raise RingMismatchError("binding values must share the target ring")
                 images[name] = value
         for name in self.variables_used():
             if name not in images:
@@ -589,7 +650,7 @@ class Polynomial:
         # a term's image is the product of its powers, scaled by c as it is
         # added in: no product with the one-term constant c
         one = ring.one()
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             piece = one
             for i, k in enumerate(e):
@@ -606,25 +667,29 @@ class Polynomial:
                         out[m] = s
                     else:
                         del out[m]
-        return Polynomial(ring, out)
+        return Polynomial._new(ring, _integral(out))
 
     def in_ring(self, ring: PolynomialRing) -> "Polynomial":
         """Transport to another ring by variable name.
 
         Same result as substitute({}, ring), computed by moving exponents:
         every variable used must exist in ring, and other variables of
-        self.ring are dropped, so no two terms meet.
+        self.ring are dropped, so no two terms meet. The move depends only
+        on the two name tuples and is worked out once per pair.
         """
         if ring == self.ring:
             return self
-        for name in self.variables_used():
-            ring.index(name)
-        names = self.ring.names
-        # position in a source exponent tuple padded with one 0, per target variable
-        where = [names.index(n) if n in names else -1 for n in ring.names]
-        return Polynomial(
-            ring, {tuple(map((e + (0,)).__getitem__, where)): c for e, c in self.terms.items()}
-        )
+        terms = self.terms
+        if ring.names == self.ring.names:
+            return Polynomial._new(ring, terms)  # terms is never mutated: share it
+        move, padded, dropped = _transport(self.ring.names, ring.names)
+        if dropped and any(e[i] for e in terms for i in dropped):
+            used = self.variables_used()
+            for i in dropped:
+                if self.ring.names[i] in used:
+                    ring.index(self.ring.names[i])  # raises the KeyError
+        keys = map(move, [e + (0,) for e in terms] if padded else terms)
+        return Polynomial._new(ring, dict(zip(keys, terms.values())))
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         total = Fraction(0)
@@ -643,16 +708,18 @@ class Polynomial:
         i = self.ring.index(name)
         # lowering exponent i is one to one on the terms that have it, so no
         # two terms meet and nothing cancels
-        return Polynomial(
+        return Polynomial._new(
             self.ring,
-            {(*e[:i], e[i] - 1, *e[i + 1 :]): c * e[i] for e, c in self.terms.items() if e[i]},
+            _integral(
+                {(*e[:i], e[i] - 1, *e[i + 1 :]): c * e[i] for e, c in self.terms.items() if e[i]}
+            ),
         )
 
     def homogenize(self, ring: PolynomialRing, var: str) -> "Polynomial":
         """Homogenize with respect to var, writing the result in ring."""
         j = ring.index(var)
         d = self.total_degree()
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             new = [0] * ring.nvars
             for i, k in enumerate(e):
@@ -694,6 +761,31 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring}>"
+
+
+_object_new = object.__new__
+# the slot setters: Polynomial.__setattr__ refuses every assignment
+_set_ring = Polynomial.ring.__set__
+_set_terms = Polynomial.terms.__set__
+_set_lm = Polynomial._lm.__set__
+_set_hash = Polynomial._hash.__set__
+
+
+@lru_cache(maxsize=1024)
+def _transport(source: tuple[str, ...], target: tuple[str, ...]) -> tuple:
+    """How in_ring moves an exponent tuple from the source names to the
+    target names: (move, padded, dropped). move maps a source tuple, with
+    one 0 appended when padded, to the target tuple; a target name that
+    the source lacks reads that 0. dropped lists the source positions that
+    the target lacks, whose exponents must be 0."""
+    where = [source.index(n) if n in source else len(source) for n in target]
+    dropped = tuple(i for i, n in enumerate(source) if n not in target)
+    if len(where) == 1:  # itemgetter of one index gives the item, not a tuple
+        i = where[0]
+        move = lambda e: (e[i],)
+    else:
+        move = itemgetter(*where) if where else lambda e: ()
+    return move, len(source) in where, dropped
 
 
 # -- parsing ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from singpair.blowup import ResolutionTower, blowdown_image, proper_transform
 from singpair.errors import CenterError
 from singpair.geometry import singular_locus
 from singpair.ideals import Ideal
-from singpair.polyring import PolynomialRing
+from singpair.polyring import Polynomial, PolynomialRing
 from singpair.scenario import Workspace, parse_scenario
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "singpair" / "corpus"
@@ -373,3 +373,23 @@ def test_audit_images_only_exceptionals_its_centers_leave_open(monkeypatch):
     calls.clear()
     assert tower.audit()["exceptional_over_singular"] is False
     assert len(calls) <= 2
+
+
+def test_passenger_variables_ride_along_as_under_substitution(monkeypatch):
+    # a family parameter rides up every chart of a two-step tower; in_ring's
+    # cached moves give the ideals that substitution into the target gives
+    ring = PolynomialRing(("x", "y"))
+    tower = ResolutionTower.affine(ring, ())
+    tower.blow_up((ring.parse("x"), ring.parse("y")))
+    tower.blow_up((ring.parse("x"), ring.parse("y - 1")))
+    family = Ideal.parse(PolynomialRing(("x", "y", "l")), "x - l*y^2; x^2 + l*y - 1/2*l^2")
+    got = [proper_transform(c, family, ("l",)) for c in tower.leaves]
+
+    def by_substitution(self, target):
+        return self if target == self.ring else self.substitute({}, target)
+
+    monkeypatch.setattr(Polynomial, "in_ring", by_substitution)
+    want = [proper_transform(c, family, ("l",)) for c in tower.leaves]
+    assert [i.ring for i in got] == [i.ring for i in want]
+    assert [i.gens for i in got] == [i.gens for i in want]
+    assert all("l" in i.ring.names for i in got)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from singpair.errors import FactorScopeError
-from singpair.factor import factor, is_irreducible
+from singpair.factor import _xu_bezout, factor, is_irreducible
 from singpair.polyring import PolynomialRing
 
 
@@ -177,3 +177,13 @@ def test_fraction_coefficients_bivariate():
     const, factors = factor(R2.parse("1/4*x^2 - 1/9*y^2"))
     assert const == Fraction(1, 4)
     assert _as_set(factors) == {("x - 2/3*y", 1), ("x + 2/3*y", 1)}
+
+
+def test_bezout_pair_divides_int_coefficients_exactly():
+    # the remainder 5 of x^2 + 1 by x + 2 has an int leading coefficient,
+    # which the extended Euclid divides by exactly, not to a float
+    ring = PolynomialRing(("x", "u"))
+    g, h = ring.parse("x^2 + 1"), ring.parse("x + 2")
+    s, t = _xu_bezout(g, h, "x", "u")
+    assert s * g + t * h == ring.one()
+    assert s == ring.parse("1/5") and t == ring.parse("2/5 - 1/5*x")

@@ -106,6 +106,13 @@ def test_center_quadratic_form_shifted_scaled():
     assert m[0][1] == R2.parse("-3/2")
 
 
+def test_center_quadratic_form_shifts_by_an_exact_fraction():
+    # the shift of 3x - 1 is 1/3, which no float holds
+    f = R2.parse("(3*x - 1)^2 + y^2 - 5*(3*x - 1)*y")
+    m = center_quadratic_form(f, (R2.parse("3*x - 1"), R2.var("y")))
+    assert m == [[R2.const(2), R2.const(-5)], [R2.const(-5), R2.const(2)]]
+
+
 def test_center_quadratic_form_rejects_bad_shapes():
     f = R2.parse("x^2 + y")
     assert center_quadratic_form(f, (R2.var("x"), R2.var("y"))) is None  # y-term degree 1

@@ -207,7 +207,7 @@ def reference_normal_form(f, basis):
         lm = lm_of(p)
         for lm_g, lc_g, g in lead:
             if exp_divides(lm_g, lm):
-                t = Polynomial(ring, {exp_sub(lm, lm_g): p.terms[lm] / lc_g})
+                t = Polynomial(ring, {exp_sub(lm, lm_g): Fraction(p.terms[lm]) / lc_g})
                 p = p - t * g
                 _charge()
                 break
@@ -236,7 +236,7 @@ def reference_exact_div(f, other):
     while not rem.is_zero():
         lm_r = max(rem.terms, key=key)
         assert exp_divides(lm_o, lm_r)
-        t = Polynomial(f.ring, {exp_sub(lm_r, lm_o): rem.terms[lm_r] / other.terms[lm_o]})
+        t = Polynomial(f.ring, {exp_sub(lm_r, lm_o): Fraction(rem.terms[lm_r]) / other.terms[lm_o]})
         quotient = quotient + t
         rem = rem - t * other
     return quotient
@@ -599,24 +599,63 @@ def test_groebner_returns_shared_storage():
         assert all(c is d for c, d in zip(g.terms.values(), h.terms.values()))
 
 
-def test_kernel_returns_fraction_coefficients():
-    # the kernel holds integral coefficients as ints; what it returns holds
-    # Fractions, also for inputs built with int coefficients, and so do
-    # monic() and exact_div()
+def in_convention(c):
+    """A coefficient is a nonzero int when integral, a Fraction otherwise."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_every_producer_gives_ints_exactly_when_integral(monkeypatch):
+    # the inputs mix ints, halves and integral Fractions, so that Fraction
+    # sums, products and quotients come out integral along the way; the
+    # storage pool starts empty, so that no int stored by an earlier test
+    # stands in for an integral Fraction
+    monkeypatch.setattr(ideals, "_pool", {})
     ring = PolynomialRing(("x", "y", "z"), MonomialOrder.lex())
+    x, y, z = ring.gens()
+    half = Fraction(1, 2)
     f = Polynomial(ring, {(2, 0, 0): 2, (0, 1, 0): -4, (0, 0, 0): 6})
-    g = Polynomial(ring, {(1, 1, 0): 3, (0, 0, 1): 1})
-    h = ring.parse("x*z - 1/2*y^2")
-    results = [*groebner([f, g, h]), normal_form(f, [g, h]), normal_form(g * h, [f])]
-    results += [s_polynomial(f, g), s_polynomial(g, h), s_polynomial(f, h)]
-    results += groebner([ring.parse("x - 1"), ring.parse("x + 1")])  # the unit ideal
-    # monic() and exact_div() divide int coefficients exactly, not to floats
+    g = Polynomial(ring, {(1, 1, 0): 3, (0, 0, 1): Fraction(4, 2)})
+    h = ring.parse("x*z - 1/2*y^2 + 6/3")
     p = Polynomial(ring, {(2, 0, 0): 2, (0, 0, 0): 6})
     assert p.monic() == ring.parse("x^2 + 3")
-    results += [p.monic(), *groebner([p.monic()]), p.exact_div(Polynomial(ring, {(0, 0, 0): 4}))]
-    assert any(c.denominator == 1 for r in results for c in r.terms.values())
-    for r in results:
-        assert all(type(c) is Fraction for c in r.terms.values()), r
+    results = {
+        "parse": [h, ring.parse("1/2*x + 1/2*x"), ring.parse("4/2*x^2")],
+        "var and const": [x, ring.one(), ring.const(Fraction(6, 3)), ring.const(half)],
+        "+": [h + h, x * half + x * half, f + 1, 1 + h],
+        "-": [h - (-h), x * half - x * -half, 1 - g, h - half],
+        "*": [h * 2, (x * half) * 2, 2 * (x * half), h * h, f * half, (x + half) * (x - half)],
+        "**": [(x * half + 1) ** 2, (h * 2) ** 3],
+        "neg": [-h],
+        "monic": [p.monic(), (h * 2).monic(), (g * half).monic()],
+        "exact_div": [
+            p.exact_div(ring.const(4)), (h * h).exact_div(h), (f * g).exact_div(f * half)
+        ],
+        "substitute": [
+            h.substitute({"x": half, "y": y * 2}), f.substitute({"x": x * half + half}),
+        ],
+        "differentiate": [(x**2 * half).differentiate("x"), h.differentiate("y")],
+        "in_ring": [
+            h.in_ring(PolynomialRing(("z", "w", "y", "x"))),
+            (y * half).in_ring(PolynomialRing(("y",))),
+        ],
+        # kernel outputs: the first system sums halves to an integral
+        # Fraction in the basis, and the first normal form in its remainder
+        "groebner": [
+            *groebner([x + y * half, x - y * half + z]),
+            *groebner([f, g, h]), *groebner([x - 1, x + 1]), *groebner([p.monic()]),
+        ],
+        "normal_form": [normal_form(x * half + y * half, [x - y]), normal_form(g * h, [f])],
+        "s_polynomial": [s_polynomial(f, g), s_polynomial(g, h), s_polynomial(f, h)],
+        "_interreduce": list(_interreduce([x + y * half, x - y * half + z, f])),
+    }
+    assert groebner([x + y * half, x - y * half + z]) == (y - z, x + z * half)
+    assert normal_form(x * half + y * half, [x - y]) == y
+    kinds = set()
+    for producer, polys in results.items():
+        for r in polys:
+            assert all(in_convention(c) for c in r.terms.values()), (producer, r)
+            kinds.update(type(c) for c in r.terms.values())
+    assert kinds == {int, Fraction}
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)

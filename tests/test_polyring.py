@@ -1,9 +1,11 @@
+import operator
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from singpair import polyring
 from singpair.errors import (
     ExactDivisionError,
     ExponentOverflowError,
@@ -341,6 +343,130 @@ def test_substitute_multiplies_powers_not_constants(monkeypatch):
     f.substitute(bindings)
     # y^2 is one product and x*y^2 another; no term is multiplied by its coefficient
     assert len(calls) == 2
+
+
+# -- the coefficient convention: an int when integral, a Fraction otherwise ------
+
+
+def in_convention(c):
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_random_operations_keep_the_coefficient_convention():
+    # seeded chains of operations on int and half-integer coefficients: each
+    # result holds ints exactly where it is integral and takes the value the
+    # operation gives at a rational point
+    rng = random.Random("convention")
+    ring = PolynomialRing(("x", "y", "z"))
+    wide = PolynomialRing(("w", "z", "y", "x"), MonomialOrder.elim(1))
+    point = {"x": Fraction(2, 3), "y": Fraction(-1, 2), "z": 3, "w": Fraction(5, 7)}
+
+    def scalar():
+        return rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4)))))
+
+    def value(p):
+        return p.evaluate(point)
+
+    pool = [small_poly(rng, ring) for _ in range(8)]
+    done = set()
+    for _ in range(600):
+        p, q, c = rng.choice(pool), rng.choice(pool), scalar()
+        op = rng.choice((
+            "add", "sub", "mul", "scale", "rscale", "shift", "rshift", "pow", "neg",
+            "monic", "exact_div", "substitute", "differentiate", "in_ring",
+        ))
+        if op == "add":
+            got, want = p + q, value(p) + value(q)
+        elif op == "sub":
+            got, want = p - q, value(p) - value(q)
+        elif op == "mul":
+            got, want = p * q, value(p) * value(q)
+        elif op == "scale":
+            got, want = p * c, value(p) * c
+        elif op == "rscale":
+            got, want = c * p, value(p) * c
+        elif op == "shift":
+            got, want = p + c, value(p) + c
+        elif op == "rshift":
+            got, want = c - p, c - value(p)
+        elif op == "pow":
+            k = rng.randint(0, 3)
+            got, want = p**k, value(p) ** k
+        elif op == "neg":
+            got, want = -p, -value(p)
+        elif op == "monic":
+            if p.is_zero():
+                continue
+            got, want = p.monic(), value(p) / p.leading_coefficient()
+        elif op == "exact_div":
+            if q.is_zero():
+                continue
+            got, want = (p * q).exact_div(q), value(p)
+        elif op == "substitute":
+            got = p.substitute({"x": q, "y": c})
+            want = p.evaluate({**point, "x": value(q), "y": c})
+        elif op == "differentiate":
+            name = rng.choice(ring.names)
+            got = p.differentiate(name)
+            want = value(reference_differentiate(p, name))
+        else:
+            got, want = p.in_ring(wide).in_ring(ring), value(p)
+            assert got == p
+        assert all(in_convention(c) for c in got.terms.values()), (op, got)
+        assert value(got) == want, (op, p, q, c)
+        done.add(op)
+        if 0 <= got.total_degree() <= 5 and len(got.terms) <= 12:
+            pool[rng.randrange(len(pool))] = got
+    assert len(done) == 14
+    assert any(type(c) is int for p in pool for c in p.terms.values())
+    assert any(type(c) is Fraction for p in pool for c in p.terms.values())
+
+
+def test_floats_and_other_non_rationals_are_refused():
+    x = R.var("x")
+    with pytest.raises(TypeError):
+        R.const(0.1)
+    with pytest.raises(TypeError):
+        Polynomial(R, {(1, 0, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        Polynomial(R, {(1, 0, 0, 0): "1"})
+    with pytest.raises(TypeError):
+        x.substitute({"y": 0.5})
+    for op in (operator.add, operator.sub, operator.mul):
+        for bad in (0.5, "a"):
+            with pytest.raises(TypeError):
+                op(x, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
+    assert x != 0.5 and not x == 1.0
+    # what the constructor keeps: no zeros, ints for integral values
+    p = Polynomial(R, {(1, 0, 0, 0): Fraction(4, 2), (0, 0, 0, 0): 0, (0, 1, 0, 0): True})
+    assert p.terms == {(1, 0, 0, 0): 2, (0, 1, 0, 0): 1}
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(R.const(Fraction(-6, 3)).constant_value()) is int
+    assert R.zero().constant_value() == 0
+
+
+def test_in_ring_moves_by_one_cached_map_per_pair_of_name_tuples():
+    polyring._transport.cache_clear()
+    source = PolynomialRing(("x", "y", "z"))
+    target = PolynomialRing(("z", "w", "x", "y"), MonomialOrder.lex())
+    f = source.parse("x^2*y - 3/2*z + 4")
+    # variables reordered, and the one the source lacks reads 0
+    g = f.in_ring(target)
+    assert g == target.parse("x^2*y - 3/2*z + 4") and g.ring == target
+    assert f.in_ring(target) == g and (2 * f).in_ring(target) == 2 * g
+    assert polyring._transport.cache_info().misses == 1
+    assert polyring._transport.cache_info().maxsize is not None
+    # unused variables are dropped, and a used one the target lacks is refused
+    plane = PolynomialRing(("y", "x"))
+    assert source.parse("x - y^2").in_ring(plane) == plane.parse("x - y^2")
+    with pytest.raises(KeyError, match=r"variable 'z' not in ring QQ\[y, x; grevlex\]"):
+        f.in_ring(plane)
+    assert source.parse("7").in_ring(PolynomialRing(("y",))) == PolynomialRing(("y",)).const(7)
+    # the same names in another order: same terms, another ring
+    lex = source.with_order(MonomialOrder.lex())
+    assert f.in_ring(lex).ring == lex and f.in_ring(lex).terms == f.terms
 
 
 # -- packed monomials ----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import re
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,11 +11,11 @@ import pytest
 from singpair import blowup, ideals
 from singpair import factor as factor_module
 from singpair.blowup import ResolutionTower, proper_transform
-from singpair.cli import Flags, main, run_tasks
+from singpair.cli import Flags, exit_code, main, run_tasks
 from singpair.errors import BudgetExceededError, ScenarioError
 from singpair.factor import factor
 from singpair.ideals import Ideal
-from singpair.polyring import PolynomialRing
+from singpair.polyring import Polynomial, PolynomialRing
 from singpair.scenario import Workspace, parse_scenario, validate_scenario
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "singpair" / "corpus"
@@ -478,6 +480,20 @@ class TestGroebnerMemo:
             assert ideals._active_memo.get() is None
         assert reports[0] == reports[1]
 
+    def test_int_and_integral_fraction_coefficients_share_an_entry(self):
+        ring = PolynomialRing(("x", "y"))
+        ints = [
+            Polynomial(ring, {(2, 0): 1, (0, 1): -3}), Polynomial(ring, {(1, 1): 2, (0, 0): -1})
+        ]
+        fractions = [Polynomial(ring, {e: Fraction(c) for e, c in g.terms.items()}) for g in ints]
+        assert fractions == ints and list(map(hash, fractions)) == list(map(hash, ints))
+        with ideals.groebner_memo() as memo:
+            first = ideals.groebner(ints)
+            with ideals.reduction_budget(10**6) as meter:
+                again = ideals.groebner(fractions)
+            assert again is first and meter.used == 0
+            assert len(memo) == 1
+
     def test_the_memo_closes_when_a_task_runs_out_of_budget(self):
         scenario = parse_scenario(CORPUS / "smooth_blowup_plane.scn")
         report = run_tasks(scenario, Flags(budget=3))
@@ -511,6 +527,16 @@ class TestFactorMemo:
         assert len(calls) == 1
         assert factor(ring.parse("x^2*y - y^3")) == first
         assert len(calls) == 2
+
+
+    def test_int_and_integral_fraction_coefficients_share_an_entry(self, monkeypatch):
+        calls = _counting(monkeypatch, factor_module, "_factor_in_ring")
+        ring = PolynomialRing(("x", "y"))
+        ints = Polynomial(ring, {(2, 1): 2, (0, 3): -2})
+        fractions = Polynomial(ring, {(2, 1): Fraction(4, 2), (0, 3): Fraction(-6, 3)})
+        with ideals.groebner_memo():
+            assert factor(fractions) == factor(ints)
+        assert calls == [ints]
 
 
 class TestTransformMemo:
@@ -590,3 +616,38 @@ def test_corpus_reports_match_golden_file(tmp_path, capsys):
     capsys.readouterr()
     assert without_counters(got) == without_counters(want), "payloads differ"
     assert got == want, "only reduction_steps counters differ"
+
+
+def in_convention(c):
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_corpus_runs_keep_the_coefficient_convention(monkeypatch):
+    # every polynomial the bundled scenarios build, through the public
+    # constructor or the internal one that arithmetic and the Groebner kernel
+    # use, holds nonzero ints where integral and Fractions elsewhere; the
+    # storage pool starts empty, so that no int stored by an earlier test
+    # stands in for an integral Fraction
+    monkeypatch.setattr(ideals, "_pool", {})
+    built, bad = Counter(), []
+    init, new = Polynomial.__init__, Polynomial._new.__func__
+
+    def check(path, p):
+        built[path] += 1
+        bad.extend((path, str(p), c) for c in p.terms.values() if not in_convention(c))
+
+    def public(self, ring, terms):
+        init(self, ring, terms)
+        check("public", self)
+
+    def internal(cls, ring, terms):
+        p = new(cls, ring, terms)
+        check("internal", p)
+        return p
+
+    monkeypatch.setattr(Polynomial, "__init__", public)
+    monkeypatch.setattr(Polynomial, "_new", classmethod(internal))
+    for path in sorted(CORPUS.glob("*.scn")):
+        assert exit_code(run_tasks(parse_scenario(path), Flags())) == 0, path.name
+    assert bad == []
+    assert built["public"] > 100 and built["internal"] > 10000, built
