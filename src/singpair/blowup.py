@@ -18,7 +18,7 @@ chart variables, which is what blowdown images and pushforwards use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -53,6 +53,9 @@ class Chart:
     # input coordinate -> value in the ring the chart started from, before any
     # blowup; identity for affine charts, coord -> 1 on a projective patch
     origin_binding: tuple[tuple[str, Polynomial], ...] = ()
+    # the chart the last lineage step started from; None for a starting chart.
+    # Left out of equality and hashing, so neither walks the chain.
+    parent: "Chart | None" = field(default=None, compare=False, repr=False)
 
     def binding_map(self) -> dict[str, Polynomial]:
         return dict(self.base_binding)
@@ -234,12 +237,13 @@ def _pivot_chart(
         exceptionals=tuple(carry(e) for e in leaf.exceptionals) + (exceptional,),
         lineage=leaf.lineage + (step,),
         origin_binding=leaf.origin_binding,
+        parent=leaf,
     )
 
 
 def _pass_through(leaf: Chart) -> Chart:
     step = LineageStep(ring=leaf.ring, substitution=(), graph=(), exceptional=None)
-    return replace(leaf, lineage=leaf.lineage + (step,))
+    return replace(leaf, lineage=leaf.lineage + (step,), parent=leaf)
 
 
 class ResolutionTower:

@@ -64,8 +64,12 @@ def transform_cycle(strat: Stratification, ideal: Ideal) -> dict[str, Ideal]:
 
 
 def _is_complete_intersection(ideal: Ideal) -> bool:
-    # multiplicities are read off local lengths, which is only honest when
-    # at least one factor is cut by codimension many equations
+    # whether the ideal is cut by codimension many equations. Multiplicities
+    # are read off local lengths, and this guard asks it of one factor only.
+    # That is necessary but not enough: a local length is the intersection
+    # multiplicity only when both local rings are Cohen-Macaulay at the
+    # point (Serre's Tor formula), so a non-Cohen-Macaulay other factor is
+    # overcounted
     gb = ideal.groebner()
     d = ideal.dimension_or_none()
     if d is None:

@@ -362,6 +362,10 @@ class Polynomial:
     def __setattr__(self, name, value) -> None:
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self) -> tuple:
+        # rebuilt through the constructor, which never assigns an attribute
+        return (self.__class__, (self.ring, self.terms))
+
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -692,6 +696,7 @@ class Polynomial:
         return Polynomial._new(ring, dict(zip(keys, terms.values())))
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
+        """The value at a rational point; TypeError for a float coordinate."""
         total = Fraction(0)
         for e, c in self.terms.items():
             val = c
@@ -700,7 +705,7 @@ class Polynomial:
                     name = self.ring.names[i]
                     if name not in point:
                         raise KeyError(f"no value for variable {name!r}")
-                    val *= Fraction(point[name]) ** k
+                    val *= _coefficient(point[name]) ** k
             total += val
         return total
 
@@ -716,7 +721,11 @@ class Polynomial:
         )
 
     def homogenize(self, ring: PolynomialRing, var: str) -> "Polynomial":
-        """Homogenize with respect to var, writing the result in ring."""
+        """Homogenize with respect to var, writing the result in ring.
+
+        Terms that land on the same monomial add up: (z + 1) homogenized
+        by z is 2*z.
+        """
         j = ring.index(var)
         d = self.total_degree()
         terms: dict[Exponents, Scalar] = {}
@@ -726,7 +735,8 @@ class Polynomial:
                 if k:
                     new[ring.index(self.ring.names[i])] = k
             new[j] += d - sum(e)
-            terms[tuple(new)] = c
+            key = tuple(new)
+            terms[key] = terms.get(key, 0) + c
         return Polynomial(ring, terms)
 
     # -- printing ----------------------------------------------------------

@@ -21,7 +21,13 @@ Rules:
                    Such a locus is a proper closed subset of its center,
                    so it is sought only over centers of positive
                    dimension: over a point nothing smaller is left, and no
-                   elimination is run.
+                   elimination is run. The eliminant for a ratio variable
+                   of step s is computed on a home chart: from the leaf
+                   up toward the chart step s made, past pass-through
+                   steps and past every pivot that is a nonzerodivisor on
+                   its parent's relations. It equals the leaf's, so the
+                   leaves over one step-s chart share one elimination
+                   instead of repeating it on larger rings.
   fibers           degeneration loci of the quadratic cone transverse to a
                    coordinate-like center (rank drop of the induced form)
   singular_images  singular loci of the center images, and pairwise
@@ -312,22 +318,45 @@ class Stratification:
         the center, and it is kept only when its dimension is below the
         center's. Over a center of dimension 0 or less no candidate can be
         kept, so the ratio variables of such a step are never eliminated.
+
+        A ratio variable v of step s is eliminated on its leaf's home for s
+        (see _home), not on the leaf. The graph ideal of each home is built
+        once, and each (home, v) pair is eliminated once, however many
+        leaves share it.
+
+        Why the home gives the leaf's answer: the elimination ideal is the
+        kernel of k[v, B] -> O(chart), B the input coordinates (Closure
+        Theorem). A pivot step's chart ring is the affine blowup algebra
+        O(parent)[g_j/g_p] inside O(parent)[1/g_p], so the kernel of
+        O(parent) -> O(child) is the g_p-torsion of O(parent); a
+        pass-through step is the identity. On every step between home and
+        leaf the pivot g_p is a nonzerodivisor on O(parent), so O(home)
+        injects into O(leaf), and k[v, B] has the same kernel on both. The
+        elimination ideals are equal, hence so are their reduced bases and
+        the candidates read from them.
         """
         found: dict = {}
         base = self.base_ring
         center_dims = [self._dim(center) for center in self._centers]
+        climbable: dict = {}
+        graphs: dict = {}
+        eliminated: set = set()
         for chart in self.tower.nonempty_leaves():
             var_step = {
                 v: s
                 for v, s in self._new_variables_by_step(chart).items()
                 if center_dims[s] is not None and center_dims[s] > 0
             }
-            if not var_step:
-                continue
-            graph, rename = graph_ideal(chart, chart.relations.gens, base)
             for v, s in sorted(var_step.items()):
-                drop_vars = set(chart.ring.names) - {v}
-                elim = graph.eliminate(drop_vars)
+                home = self._home(chart, s, climbable)
+                at = (home.name, len(home.lineage))
+                if at + (v,) in eliminated:
+                    continue
+                eliminated.add(at + (v,))
+                if at not in graphs:
+                    graphs[at] = graph_ideal(home, home.relations.gens, base)
+                graph, rename = graphs[at]
+                elim = graph.eliminate(set(home.ring.names) - {v})
                 for g in elim.gens:
                     d = g.degree_in(v)
                     if d < 1:
@@ -344,6 +373,31 @@ class Stratification:
                     if d is not None and d < center_dims[s]:
                         found[key] = (s, candidate)
         return sorted(found.values(), key=lambda t: (t[0], str(t[1].canonical_key())))
+
+    @staticmethod
+    def _home(chart: Chart, step: int, climbable: dict) -> Chart:
+        """The chart on which step's ratio variables of chart are eliminated.
+
+        Climbs from chart toward the chart that step made, one lineage step
+        at a time: past a pass-through step always, and past a pivot step
+        when its exceptional, moved into the parent ring, is a nonzerodivisor
+        on the parent's relations (saturating by it changes nothing). Stops
+        at the first pivot that fails, so a chart whose last pivot fails is
+        its own home. climbable remembers each chart's verdict by its name
+        and lineage length.
+        """
+        while len(chart.lineage) > step + 1:
+            at = (chart.name, len(chart.lineage))
+            if at not in climbable:
+                last, parent = chart.lineage[-1], chart.parent
+                climbable[at] = last.exceptional is None or (
+                    parent.relations.saturate(last.exceptional.in_ring(parent.ring))
+                    == parent.relations
+                )
+            if not climbable[at]:
+                break
+            chart = chart.parent
+        return chart
 
     # -- access --------------------------------------------------------------------
 

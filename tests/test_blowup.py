@@ -7,6 +7,7 @@ z^2*(xp^2 - yp^2 + t), so the transform is xp^2 - yp^2 + t, and similarly
 for the other pivots.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,7 @@ class TestSecondStep:
 
     def test_blow_up_pass_through_and_split(self):
         tower, ring = self.nodal_tower()
+        before = {c.name: c for c in tower.leaves}
         tower.blow_up((ring.parse("y^2 - x^3 - x^2"), ring.var("w")))
         assert len(tower.leaves) == 5
         passed = [c for c in tower.leaves if c.name == "aff/s1p0"]
@@ -157,6 +159,12 @@ class TestSecondStep:
         child = chart_by_ring(tower, ("x", "yp", "wpp"))
         assert child.name == "aff/s1p2/s2p1"
         assert child.relations == Ideal(child.ring, (child.ring.var("wpp"),))
+        # each chart keeps the chart it was made from, outside equality
+        assert passed[0].parent is before["aff/s1p0"]
+        assert child.parent is before["aff/s1p2"]
+        assert before["aff/s1p2"].parent.parent is None
+        orphan = replace(child, parent=None)
+        assert orphan == child and hash(orphan) == hash(child)
 
     def test_irregular_center_rejected(self):
         ring = PolynomialRing(("x", "y", "w"))

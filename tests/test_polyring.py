@@ -121,6 +121,14 @@ def test_homogenize_and_back():
     assert h == P.parse("s*x^2 - s*y^2 + t*z^2 + s^3")
 
 
+def test_homogenize_adds_terms_that_meet():
+    # z and 1 both land on z, so homogenizing by z must add them
+    Q = PolynomialRing(("x", "z"))
+    assert Q.parse("z + 1").homogenize(Q, "z") == Q.parse("2*z")
+    assert Q.parse("z^2 - z + x").homogenize(Q, "z") == Q.parse("x*z")
+    assert Q.parse("z - 1").homogenize(Q, "z").is_zero()
+
+
 def test_in_ring_transport_by_name():
     small = PolynomialRing(("y", "x"))
     f = small.parse("x - y^2")
@@ -190,6 +198,17 @@ def test_rings_stay_picklable_after_use():
     f = E.parse("x*y + z^3 - t")
     assert f.leading_monomial() == (1, 1, 0, 0)
     assert pickle.loads(pickle.dumps(E)) == E
+
+
+def test_polynomials_survive_pickling():
+    E = R.with_order(MonomialOrder.elim(2))
+    for p in (R.parse("x + 1/2"), R.zero(), E.parse("x*y - 3")):
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.ring == p.ring
+        assert back.terms == p.terms
+        assert [type(c) for c in back.terms.values()] == [type(c) for c in p.terms.values()]
+        if not p.is_zero():
+            assert back.leading_monomial() == p.leading_monomial()
 
 
 def test_parse_many_semicolon_list():
@@ -432,6 +451,9 @@ def test_floats_and_other_non_rationals_are_refused():
         Polynomial(R, {(1, 0, 0, 0): "1"})
     with pytest.raises(TypeError):
         x.substitute({"y": 0.5})
+    with pytest.raises(TypeError):
+        x.evaluate({"x": 0.1})
+    assert x.evaluate({"x": Fraction(1, 10)}) == Fraction(1, 10)
     for op in (operator.add, operator.sub, operator.mul):
         for bad in (0.5, "a"):
             with pytest.raises(TypeError):

@@ -236,6 +236,20 @@ def quadric_fourfold_tower() -> ResolutionTower:
     return tower
 
 
+def plane_pair_tower() -> ResolutionTower:
+    """y*(y - t) = 0 in A^3 blown up along x = y, then along y = t - 1 = 0.
+
+    On chart aff/s1p1 the second pivot vanishes on the component yp = 0,
+    so it is a zero divisor there and the leaves above that chart are
+    their own homes.
+    """
+    r = PolynomialRing(("x", "y", "t"))
+    tower = ResolutionTower.affine(r, (r.parse("y*(y - t)"),))
+    tower.blow_up((r.var("x"), r.var("y")))
+    tower.blow_up((r.var("y"), r.parse("t - 1")))
+    return tower
+
+
 def prefixes(tower: ResolutionTower) -> list[ResolutionTower]:
     """The affine tower cut after 0, 1, ... of its steps."""
     out = [ResolutionTower.affine(tower.input_ring, tower.input_relations)]
@@ -257,7 +271,24 @@ EXACTNESS_CASES = {
     },
     "umbrella_then_point": lambda: prefixes(umbrella_tower(with_point=True)),
     "quadric_fourfold": lambda: prefixes(quadric_fourfold_tower()),
+    "plane_pair": lambda: prefixes(plane_pair_tower()),
 }
+
+
+def eliminated_homes(tower: ResolutionTower) -> dict[str, dict[tuple[str, int], object]]:
+    """leaf name -> {(ratio variable, step): home chart} for every pair that
+    the images rule eliminates (centers of positive dimension only)."""
+    strat = Stratification(tower, rules=())
+    dims = [strat.dim_of(Ideal(tower.input_ring, c)) for c in tower.steps]
+    out = {}
+    for leaf in tower.nonempty_leaves():
+        pairs = {
+            (v, s): Stratification._home(leaf, s, {})
+            for v, s in strat._new_variables_by_step(leaf).items()
+            if dims[s] is not None and dims[s] > 0
+        }
+        out[leaf.name] = pairs
+    return out
 
 
 class TestFiberJumps:
@@ -288,6 +319,29 @@ class TestFiberJumps:
         assert jumps[0].level == 3 and jumps[0].step == 0
         assert same_variety(jumps[0].ideal, Ideal.parse(strat.base_ring, "x; y; z; t"))
 
+    def test_tower_extension_eliminates_on_the_step_one_charts(self):
+        ws = Workspace(parse_scenario(CORPUS / "tower_extension.scn"))
+        homes = eliminated_homes(ws.tower())
+        assert sum(len(pairs) for pairs in homes.values()) >= 6
+        for leaf in ws.tower().nonempty_leaves():
+            step_one = leaf
+            while len(step_one.lineage) > 1:
+                step_one = step_one.parent
+            for (v, s), home in homes[leaf.name].items():
+                assert s == 0 and home is step_one, (leaf.name, v)
+
+    def test_a_zero_divisor_pivot_keeps_the_leaf_as_home(self):
+        tower = plane_pair_tower()
+        homes = eliminated_homes(tower)
+        above = {n: pairs for n, pairs in homes.items() if n.startswith("aff/s1p1/s2p")}
+        assert sorted(above) == ["aff/s1p1/s2p0", "aff/s1p1/s2p1"]
+        by_name = {leaf.name: leaf for leaf in tower.nonempty_leaves()}
+        for name, pairs in above.items():
+            for (v, s), home in pairs.items():
+                assert home is by_name[name], (name, v, s)
+        # a step-1 variable is among them, so the climb really stopped early
+        assert any(s == 0 for pairs in above.values() for _, s in pairs)
+
     @pytest.mark.parametrize(
         "name, prefix, expected",
         [
@@ -303,8 +357,13 @@ class TestFiberJumps:
         eliminate = Ideal.eliminate
         jump_candidates = Stratification._jump_candidates
 
+        # only eliminations in graph rings count, not the ones inside the
+        # nonzerodivisor checks; no corpus variable starts with "_b_", so
+        # graph_ideal tags the input coordinates with it
+        graph_names = {"_b_" + n for n in tower.input_ring.names}
+
         def counting_eliminate(ideal, drop):
-            if counted["inside"]:
+            if counted["inside"] and graph_names <= set(ideal.ring.names):
                 counted["eliminations"] += 1
             return eliminate(ideal, drop)
 
