@@ -9,11 +9,15 @@ lifting to a Mignotte-sized modulus p^k, recombination by subsets
 Dense coefficient lists hold only integers mod p or mod p^k, and one dense
 kernel (_p_mul, _p_add, _p_sub, _p_divmod) serves both moduli: every
 divisor mod p^k is monic, so no inverse other than 1 is needed there.
-Multiplicities are recovered by trial division. Bivariate polynomials are
-factored by lifting a univariate factorization along a generic line y = c.
-Trivariate polynomials are packed into bivariate ones by exponent encoding;
-candidate factors are unpacked and verified by exact division, which keeps
-the method sound and complete.
+A bivariate polynomial, made monic in x, is factored on a generic line
+u = c and lifted along it to precision u^K, K above its degree in u. A
+trivariate one is packed into two variables by Kronecker substitution and
+factored there; subsets of the image's factors are unpacked. One Hensel
+lift (_hensel_pair, _hensel_multi), given the coefficient arithmetic and a
+ladder of precisions, serves p^k and u^K, and one recombination
+(_recombine) serves all three paths: it tries subsets smallest first and
+verifies each candidate by exact division, which keeps the method sound
+and complete. Multiplicities are recovered by trial division.
 
 factor() takes at most MAX_VARS = 3 variables, of any degree, and raises
 FactorScopeError beyond that. Every factorization is checked by
@@ -24,6 +28,7 @@ factored once.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import reduce
 from math import gcd as int_gcd
@@ -265,40 +270,68 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     return sorted((_p_monic(g, p) for g in factors), key=lambda g: (len(g), g))
 
 
-# -- Hensel lifting over Z/p^(2^j) --------------------------------------------
+# -- Hensel lifting and recombination ----------------------------------------
+#
+# The lift runs on any coefficient arithmetic: ops = (mul, add, sub, divmod,
+# one, bezout), each operation taking the precision it works at, and divmod
+# dividing by a monic divisor. The dense path works mod p^k, on the _p_
+# kernel; the bivariate path works mod u^k, on truncated Polynomials.
 
 
-def _hensel_pair(
-    f: list[int], g: list[int], h: list[int], s: list[int], t: list[int], p: int, target: int
-) -> tuple[list[int], list[int]]:
-    """Lift f = g*h from mod p to mod target (target = p^(2^j)); g, h, f monic."""
-    m = p
-    while m < target:
-        m = m * m
-        e = _p_sub(f, _p_mul(g, h, m), m)
-        q, r = _p_divmod(_p_mul(s, e, m), h, m)
-        g = _p_add(g, _p_add(_p_mul(t, e, m), _p_mul(q, g, m), m), m)
-        h = _p_add(h, r, m)
-        b = _p_sub(_p_add(_p_mul(s, g, m), _p_mul(t, h, m), m), [1], m)
-        c, d = _p_divmod(_p_mul(s, b, m), h, m)
-        s = _p_sub(s, d, m)
-        t = _p_sub(t, _p_add(_p_mul(t, b, m), _p_mul(c, g, m), m), m)
+def _hensel_pair(f, g, h, s, t, ops: tuple, ladder: list) -> tuple:
+    """Lift f = g*h, with s*g + t*h = 1, from the first precision of the
+    ladder to the last, one quadratic step per rung (von zur Gathen and
+    Gerhard, Alg. 15.10); f, g and h are monic."""
+    mul, add, sub, divmod_, one, _ = ops
+    for m in ladder[1:]:
+        e = sub(f, mul(g, h, m), m)
+        q, r = divmod_(mul(s, e, m), h, m)
+        g = add(g, add(mul(t, e, m), mul(q, g, m), m), m)
+        h = add(h, r, m)
+        b = sub(add(mul(s, g, m), mul(t, h, m), m), one, m)
+        c, d = divmod_(mul(s, b, m), h, m)
+        s = sub(s, d, m)
+        t = sub(t, add(mul(t, b, m), mul(c, g, m), m), m)
     return g, h
 
 
-def _hensel_multi(f: list[int], facs: list[list[int]], p: int, target: int) -> list[list[int]]:
+def _hensel_multi(f, facs: list, ops: tuple, ladder: list) -> list:
+    """facs, the monic pairwise coprime factors of f at the first precision
+    of the ladder, lifted to the last, at which f is given (Alg. 15.17)."""
     if len(facs) == 1:
-        return [[c % target for c in f]]
+        return [f]
+    mul, _, _, _, _, bezout = ops
+    m = ladder[0]
     k = len(facs) // 2
-    g0 = [1]
-    for piece in facs[:k]:
-        g0 = _p_mul(g0, piece, p)
-    h0 = [1]
-    for piece in facs[k:]:
-        h0 = _p_mul(h0, piece, p)
-    s, t = _p_ext_euclid(g0, h0, p)
-    g, h = _hensel_pair(f, g0, h0, s, t, p, target)
-    return _hensel_multi(g, facs[:k], p, target) + _hensel_multi(h, facs[k:], p, target)
+    g0 = reduce(lambda a, b: mul(a, b, m), facs[:k])
+    h0 = reduce(lambda a, b: mul(a, b, m), facs[k:])
+    s, t = bezout(g0, h0, m)
+    g, h = _hensel_pair(f, g0, h0, s, t, ops, ladder)
+    return _hensel_multi(g, facs[:k], ops, ladder) + _hensel_multi(h, facs[k:], ops, ladder)
+
+
+def _recombine(f, pieces: list, combine, divide) -> list:
+    """The irreducible factors of f, from the pieces its image splits into
+    (Zassenhaus). Subsets of pieces are tried smallest first: candidate =
+    combine(subset) is a factor when divide(f, candidate) returns the
+    cofactor rather than None. A factor's pieces leave the pool, and the
+    search stops at half of the pool, so every factor returned, the rest
+    of f included, is irreducible."""
+    pool = list(range(len(pieces)))
+    found = []
+    size = 1
+    while 2 * size <= len(pool):
+        for subset in itertools.combinations(pool, size):
+            candidate = combine([pieces[i] for i in subset])
+            cofactor = divide(f, candidate)
+            if cofactor is not None:
+                found.append(candidate)
+                f = cofactor
+                pool = [i for i in pool if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
 
 
 def _symmetric(a: list[int], m: int) -> list[int]:
@@ -328,38 +361,25 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     if len(modular) == 1:
         return [f]
     bound = (n + 1) * (2 ** n) * max(abs(c) for c in fm)
-    target = p
-    while target < 2 * bound + 1:
-        target = target * target
-    lifted = _hensel_multi([c % target for c in fm], modular, p, target)
-    pool = list(range(len(modular)))
-    found: list[list[int]] = []
-    fcur = list(fm)
-    size = 1
-    while 2 * size <= len(pool):
-        hit = False
-        for subset in itertools.combinations(pool, size):
-            prod = [1]
-            for i in subset:
-                prod = _p_mul(prod, lifted[i], target)
-            cand = _symmetric(prod, target)
-            q, r = _int_divmod_monic(fcur, cand)
-            if not r:
-                found.append(cand)
-                fcur = q
-                pool = [i for i in pool if i not in subset]
-                hit = True
-                break
-        if not hit:
-            size += 1
-    if _deg(fcur) > 0:
-        found.append(fcur)
+    ladder = [p]
+    while ladder[-1] < 2 * bound + 1:
+        ladder.append(ladder[-1] ** 2)
+    target = ladder[-1]
+    ops = (_p_mul, _p_add, _p_sub, _p_divmod, [1], _p_ext_euclid)
+    lifted = _hensel_multi(_p_norm(fm, target), modular, ops, ladder)
+
+    def divide(g: list[int], candidate: list[int]) -> list[int] | None:
+        q, r = _int_divmod_monic(g, candidate)
+        return None if r else q
+
+    def combine(subset: list[list[int]]) -> list[int]:
+        return _symmetric(reduce(lambda a, b: _p_mul(a, b, target), subset), target)
+
     # undo monicization: factor g of fm maps to primitive(g(lc * x))
-    out = []
-    for g in found:
-        scaled = [g[i] * lc ** i for i in range(len(g))]
-        out.append(_int_primitive(scaled))
-    return out
+    return [
+        _int_primitive([g[i] * lc ** i for i in range(len(g))])
+        for g in _recombine(fm, lifted, combine, divide)
+    ]
 
 
 # -- Polynomial-level dispatch ------------------------------------------------
@@ -487,33 +507,6 @@ def _xu_divmod_monic(
     return q, r
 
 
-def _xu_hensel_pair(
-    F: Polynomial,
-    g: Polynomial,
-    h: Polynomial,
-    s: Polynomial,
-    t: Polynomial,
-    xname: str,
-    uname: str,
-    K: int,
-) -> tuple[Polynomial, Polynomial]:
-    ring = F.ring
-    one = ring.one()
-    prec = 1
-    while prec < K:
-        prec = min(2 * prec, K)
-        tr = lambda p: _trunc(p, uname, prec)
-        e = tr(F - g * h)
-        q, r = _xu_divmod_monic(tr(s * e), h, xname, uname, prec)
-        g = tr(g + t * e + q * g)
-        h = tr(h + r)
-        b = tr(s * g + t * h - one)
-        c, d = _xu_divmod_monic(tr(s * b), h, xname, uname, prec)
-        s = tr(s - d)
-        t = tr(t - t * b - c * g)
-    return g, h
-
-
 def _xu_bezout(
     g: Polynomial, h: Polynomial, xname: str, uname: str
 ) -> tuple[Polynomial, Polynomial]:
@@ -531,28 +524,15 @@ def _xu_bezout(
     return s, (1 - s * g).exact_div(h)
 
 
-def _xu_hensel_multi(
-    F: Polynomial, facs: list[Polynomial], xname: str, uname: str, K: int
-) -> list[Polynomial]:
-    if len(facs) == 1:
-        return [_trunc(F, uname, K)]
-    ring = F.ring
-    k = len(facs) // 2
-    g0 = ring.one()
-    for piece in facs[:k]:
-        g0 = g0 * piece
-    h0 = ring.one()
-    for piece in facs[k:]:
-        h0 = h0 * piece
-    s, t = _xu_bezout(g0, h0, xname, uname)
-    g, h = _xu_hensel_pair(F, g0, h0, s, t, xname, uname, K)
-    return _xu_hensel_multi(g, facs[:k], xname, uname, K) + _xu_hensel_multi(
-        h, facs[k:], xname, uname, K
-    )
+def _quotient(f: Polynomial, h: Polynomial) -> Polynomial | None:
+    try:
+        return f.exact_div(h)
+    except ExactDivisionError:
+        return None
 
 
-def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | None:
-    """A proper factor of g, or None when g is irreducible.
+def _bivariate_factors(g: Polynomial, xname: str, uname: str) -> list[Polynomial]:
+    """The irreducible factors of g, from one lift along a line u = c.
 
     Requires g primitive and squarefree with respect to xname.
     """
@@ -585,30 +565,33 @@ def _bivariate_divisor(g: Polynomial, xname: str, uname: str) -> Polynomial | No
     f0 = _int_primitive(_to_dense(Fhat.substitute({uname: 0}), xname))
     pieces = _zassenhaus(f0)
     if len(pieces) == 1:
-        return None
+        return [g]
     base = [_from_dense(piece, ring, xname).monic() for piece in pieces]
     base.sort(key=lambda p: (p.degree_in(xname), str(p)))
-    lifted = _xu_hensel_multi(Fhat, base, xname, uname, K)
-    pool = list(range(len(lifted)))
-    for size in range(1, len(pool)):
-        for subset in itertools.combinations(pool, size):
-            cand = ring.one()
-            for i in subset:
-                cand = _trunc(cand * lifted[i], uname, K)
-            try:
-                Fhat.exact_div(cand)
-            except ExactDivisionError:
-                continue
-            # map back: x -> L*x, strip content in u, undo the translation
-            raw = cand.substitute({xname: L * x}, ring)
-            cont = reduce(_poly_gcd, coefficients_in(raw, xname))
-            h = raw.exact_div(cont)
-            h = h.substitute({uname: u - c_found}, ring)
-            if not h.is_constant() and h.divides(g):
-                quotient = g.exact_div(h)
-                if not quotient.is_constant():
-                    return h
-    return None
+    ladder = [1]
+    while ladder[-1] < K:
+        ladder.append(min(2 * ladder[-1], K))
+    ops = (
+        lambda a, b, k: _trunc(a * b, uname, k),
+        lambda a, b, k: _trunc(a + b, uname, k),
+        lambda a, b, k: _trunc(a - b, uname, k),
+        lambda a, b, k: _xu_divmod_monic(a, b, xname, uname, k),
+        ring.one(),
+        lambda a, b, k: _xu_bezout(a, b, xname, uname),
+    )
+    lifted = _hensel_multi(Fhat, base, ops, ladder)
+
+    def combine(subset: list[Polynomial]) -> Polynomial:
+        # each factor of Fhat is monic in x, of degree below K in u
+        return reduce(lambda a, b: _trunc(a * b, uname, K), subset)
+
+    out = []
+    for h in _recombine(Fhat, lifted, combine, _quotient):
+        # map back: x -> L*x, strip content in u, undo the translation
+        raw = h.substitute({xname: L * x}, ring)
+        cont = reduce(_poly_gcd, coefficients_in(raw, xname))
+        out.append(raw.exact_div(cont).substitute({uname: u - c_found}, ring))
+    return out
 
 
 # -- irreducible-candidate recursion ------------------------------------------
@@ -662,36 +645,20 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
     if len(used) == 1:
         return out | _factor_univariate(g, xname)
     if len(used) == 2:
-        h = _bivariate_divisor(g, xname, others[0])
-        if h is None:
-            out.add(g.monic())
-            return out
-        return out | _candidates(h) | _candidates(g.exact_div(h))
+        return out | {h.monic() for h in _bivariate_factors(g, xname, others[0])}
     # three variables: pack the last into the middle one, factor, unpack subsets
     bname, cname = others
     D = g.total_degree() + 1
     image = g.substitute({cname: ring.var(bname) ** D}, ring)
     _, image_factors = _factor_in_ring(image)
-    expanded: list[Polynomial] = []
-    for fac, mult in image_factors:
-        expanded.extend([fac] * mult)
+    expanded = [fac for fac, mult in image_factors for _ in range(mult)]
     if len(expanded) > 12:
         raise FactorScopeError("image factorization too wide to recombine")
-    order = range(1, len(expanded))
-    for size in order:
-        for subset in itertools.combinations(range(len(expanded)), size):
-            cand = ring.one()
-            for i in subset:
-                cand = cand * expanded[i]
-            h = _kronecker_unpack(cand, bname, cname, D).monic()
-            if h.is_constant() or not h.divides(g):
-                continue
-            quotient = g.exact_div(h)
-            if quotient.is_constant():
-                continue
-            return out | _candidates(h) | _candidates(quotient)
-    out.add(g.monic())
-    return out
+
+    def unpack(subset: list[Polynomial]) -> Polynomial:
+        return _kronecker_unpack(reduce(operator.mul, subset), bname, cname, D).monic()
+
+    return out | {h.monic() for h in _recombine(g, expanded, unpack, _quotient)}
 
 
 def _factor_in_ring(f: Polynomial) -> tuple[Scalar, list[tuple[Polynomial, int]]]:
@@ -709,7 +676,8 @@ def _factor_in_ring(f: Polynomial) -> tuple[Scalar, list[tuple[Polynomial, int]]
             mult += 1
         if mult:
             out.append((cand, mult))
-    assert work.is_constant(), f"factorization incomplete for {f}"
+    if not work.is_constant():
+        raise AssertionError(f"factorization incomplete for {f}")
     return work.constant_value(), out
 
 
@@ -737,7 +705,8 @@ def _checked_factorization(f: Polynomial) -> tuple[Scalar, tuple[tuple[Polynomia
     check = f.ring.const(const)
     for g, m in factors:
         check = check * g ** m
-    assert check == f, "factor product check failed"
+    if check != f:
+        raise AssertionError("factor product check failed")
     return const, tuple(factors)
 
 

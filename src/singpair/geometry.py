@@ -129,7 +129,8 @@ def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
                 point=point,
             )
         )
-    assert sum(c.local_length for c in components) == total, "lengths do not add up"
+    if sum(c.local_length for c in components) != total:
+        raise AssertionError("lengths do not add up")
     components.sort(key=lambda c: (c.residue_degree, str(c.prime.groebner())))
     return components
 

@@ -1,12 +1,15 @@
 import itertools
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from singpair import factor as factor_module
 from singpair.errors import FactorScopeError
 from singpair.factor import _xu_bezout, factor, is_irreducible
-from singpair.polyring import PolynomialRing
+from singpair.polyring import Polynomial, PolynomialRing
 
 
 R1 = PolynomialRing(("x",))
@@ -179,6 +182,14 @@ def test_fraction_coefficients_bivariate():
     assert _as_set(factors) == {("x - 2/3*y", 1), ("x + 2/3*y", 1)}
 
 
+def test_a_wrong_factorization_fails_the_multiply_back_check(monkeypatch):
+    # an explicit raise, so the check holds under python -O too
+    f = R1.parse("x^2 + 1")
+    monkeypatch.setattr(factor_module, "_factor_in_ring", lambda g: (1, [(R1.parse("x + 1"), 1)]))
+    with pytest.raises(AssertionError, match="product check"):
+        factor(f)
+
+
 def test_bezout_pair_divides_int_coefficients_exactly():
     # the remainder 5 of x^2 + 1 by x + 2 has an int leading coefficient,
     # which the extended Euclid divides by exactly, not to a float
@@ -187,3 +198,44 @@ def test_bezout_pair_divides_int_coefficients_exactly():
     s, t = _xu_bezout(g, h, "x", "u")
     assert s * g + t * h == ring.one()
     assert s == ring.parse("1/5") and t == ring.parse("2/5 - 1/5*x")
+
+
+def _random_polynomial(rng, ring, degree, squares=False):
+    """Small integer coefficients on the monomials of total degree at most
+    degree; with squares, every variable's square has a nonzero one."""
+    while True:
+        terms = {}
+        for e in itertools.product(range(degree + 1), repeat=ring.nvars):
+            if sum(e) <= degree:
+                square = squares and sorted(e)[-1] == 2 == sum(e)
+                terms[e] = rng.choice((-3, -2, -1, 1, 2, 3) if square else (0, 0, -2, -1, 1, 2))
+        f = Polynomial(ring, terms)
+        if not f.is_constant():
+            return f
+
+
+def _property_cases():
+    """Seeded pairs (f, g) in one, two and three variables. In the last
+    four, both are quadrics that square every variable, so no variable of
+    f*g is linear and the product is factored through the Kronecker
+    packing."""
+    rng = random.Random(17)
+    shapes = [(R1, 4, False)] * 12 + [(R2, 3, False)] * 10 + [(R3, 2, False)] * 4
+    shapes += [(R3, 2, True)] * 4
+    return [
+        tuple(
+            _random_polynomial(rng, ring, 2 if squares else rng.randint(1, degree), squares)
+            for _ in range(2)
+        )
+        for ring, degree, squares in shapes
+    ]
+
+
+def test_factor_of_a_product_merges_the_factorizations():
+    for f, g in _property_cases():
+        const_f, factors_f = factor(f)
+        const_g, factors_g = factor(g)
+        const, factors = factor(f * g)
+        assert const == const_f * const_g, (f, g)
+        merged = Counter(dict(factors_f)) + Counter(dict(factors_g))
+        assert Counter(dict(factors)) == merged, (f, g)
