@@ -1,8 +1,20 @@
 """Geometric queries on affine and projective varieties.
 
-Zero-dimensional ideals are decomposed into primary components through a
-shape-position linear form, which yields prime components, multiplicities,
-residue degrees, and rational coordinates in one pass. Smoothness is decided
+Zero-dimensional ideals are decomposed through a separating linear form,
+which yields prime components, multiplicities, residue degrees, and
+rational coordinates in one pass. Everything is read from the cached
+reduced basis by linear algebra on the quotient ring Q[x]/I, in the basis
+of its standard monomials (the FGLM idea: Faugere, Gianni, Lazard, Mora,
+J. Symb. Comp. 1993). A form acts on the quotient by a matrix whose columns
+are normal forms. The eliminant of a form, the generator of
+(I + (u - form)) meet Q[u], is the minimal polynomial of that action, found
+by Gaussian elimination on the images of 1, form, form^2, ... The radical
+adds the squarefree part of each variable's eliminant. A form is separating
+when its eliminant on the radical has the radical's dimension as degree;
+the irreducible factors of that eliminant are the points, and each point's
+multiplicity is the exponent of its factor in the characteristic
+polynomial of the form on Q[x]/I (Hessenberg reduction, O(D^3) for a
+quotient of dimension D). Smoothness is decided
 by the Jacobian criterion on a complete-intersection presentation. The
 quadratic-form detector extracts the symmetric matrix of a hypersurface
 along a coordinate-like center; its determinant cuts out the locus where
@@ -22,8 +34,8 @@ from .errors import (
     NotZeroDimensionalError,
 )
 from .factor import factor
-from .ideals import Ideal, fresh_name
-from .polyring import Polynomial, PolynomialRing, Scalar
+from .ideals import Ideal, fresh_name, normal_forms
+from .polyring import Polynomial, PolynomialRing, Scalar, _quotient, exp_add
 
 
 @dataclass(frozen=True)
@@ -31,7 +43,6 @@ class PrimaryComponent:
     """One point (possibly irrational) of a zero-dimensional scheme."""
 
     prime: Ideal
-    primary: Ideal
     multiplicity: int
     residue_degree: int
     point: dict[str, Scalar] | None  # rational coordinates when degree 1
@@ -41,17 +52,137 @@ class PrimaryComponent:
         return self.multiplicity * self.residue_degree
 
 
-def _eliminant(ideal: Ideal, form: Polynomial) -> Polynomial:
-    """Minimal-polynomial generator of the ideal's image under the form."""
+# -- linear algebra on Q[x]/I --------------------------------------------------
+
+# A vector of Q[x]/I is a dict from the index of a standard monomial to a
+# nonzero coefficient; a matrix is the list of its columns.
+
+
+def _multiplication_matrix(ideal: Ideal, form: Polynomial, monomials: list) -> list[dict]:
+    """Columns of multiplication by form on ring/ideal, in the basis of the
+    standard monomials: column j is the normal form of form * monomials[j]."""
     ring = ideal.ring
-    u = fresh_name(ring.names, "_u")
-    work = PolynomialRing((*ring.names, u))
-    gens = [g.in_ring(work) for g in ideal.gens]
-    gens.append(work.var(u) - form.in_ring(work))
-    projected = Ideal(work, gens).eliminate(set(ring.names))
-    gb = projected.groebner()
-    assert len(gb) == 1, "eliminant of a zero-dimensional ideal must be principal"
-    return gb[0]
+    products = [
+        Polynomial._new(ring, {exp_add(e, m): c for e, c in form.terms.items()})
+        for m in monomials
+    ]
+    index = {m: j for j, m in enumerate(monomials)}
+    return [
+        {index[e]: c for e, c in r.terms.items()}
+        for r in normal_forms(products, ideal.groebner())
+    ]
+
+
+def _apply(columns: list[dict], vector: dict) -> dict:
+    """The matrix of columns times vector."""
+    out: dict = {}
+    for j, c in vector.items():
+        for i, d in columns[j].items():
+            s = out.get(i, 0) + c * d
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+    return out
+
+
+def _minimal_polynomial(columns: list[dict], start: dict) -> list[Scalar]:
+    """Coefficients, constant first, of the monic polynomial p of least
+    degree with p(M) start = 0, for M the matrix of columns: the images
+    start, M start, M^2 start, ... are reduced against the earlier ones by
+    Gaussian elimination until the first that reduces to zero, whose record
+    of combinations is p."""
+    rows: list[tuple[int, dict, dict]] = []  # pivot, vector scaled to 1 there, combination
+    power = start
+    k = 0
+    while True:
+        vector, combination = dict(power), {k: 1}
+        for pivot, row, comb in rows:
+            c = vector.get(pivot)
+            if c is None:
+                continue
+            for target, part in ((vector, row), (combination, comb)):
+                for i, d in part.items():
+                    s = target.get(i, 0) - c * d
+                    if s:
+                        target[i] = s
+                    else:
+                        del target[i]
+        if not vector:
+            return [combination.get(i, 0) for i in range(k + 1)]
+        pivot = min(vector)
+        lead = vector[pivot]
+        rows.append((
+            pivot,
+            {i: _quotient(d, lead) for i, d in vector.items()},
+            {i: _quotient(d, lead) for i, d in combination.items()},
+        ))
+        power = _apply(columns, power)
+        k += 1
+
+
+def _characteristic_polynomial(columns: list[dict]) -> list[Scalar]:
+    """Coefficients, constant first, of det(u - M): M is brought to upper
+    Hessenberg form by similarity transforms, and the determinant expanded
+    along its subdiagonal (Cohen, A Course in Computational Algebraic Number
+    Theory, algorithm 2.2.9)."""
+    n = len(columns)
+    h = [[columns[j].get(i, 0) for j in range(n)] for i in range(n)]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        t = h[m][m - 1]
+        for i in range(m + 1, n):
+            if not h[i][m - 1]:
+                continue
+            u = _quotient(h[i][m - 1], t)
+            row_i, row_m = h[i], h[m]
+            for j in range(m - 1, n):
+                if row_m[j]:
+                    row_i[j] -= u * row_m[j]
+            for row in h:
+                if row[i]:
+                    row[m] += u * row[i]
+    # p[m] = det(u - H) of the leading m x m block
+    p: list[list[Scalar]] = [[1]]
+    for m in range(1, n + 1):
+        prev = p[m - 1]
+        cur = [0] + prev  # u * p[m-1]
+        for i, c in enumerate(prev):
+            cur[i] -= h[m - 1][m - 1] * c
+        t = 1
+        for i in range(1, m):
+            t *= h[m - i][m - i - 1]
+            if not t:
+                break
+            scale = t * h[m - i - 1][m - 1]
+            for j, c in enumerate(p[m - i - 1]):
+                cur[j] -= scale * c
+        p.append(cur)
+    return p[n]
+
+
+def _in_u(ring: PolynomialRing, coefficients: list[Scalar]) -> Polynomial:
+    return Polynomial(ring, {(i,): c for i, c in enumerate(coefficients)})
+
+
+def _eliminant(ideal: Ideal, form: Polynomial) -> Polynomial:
+    """The monic generator of (ideal + (u - form)) meet Q[u], in a ring with
+    the one variable _u (or the first fresh name after it): the minimal
+    polynomial of multiplication by form on Q[x]/ideal, read from the
+    normal forms of form times each standard monomial. The ideal must be
+    zero-dimensional."""
+    monomials = ideal.standard_monomials()
+    u_ring = PolynomialRing((fresh_name(ideal.ring.names, "_u"),))
+    if not monomials:
+        return u_ring.one()
+    columns = _multiplication_matrix(ideal, form, monomials)
+    return _in_u(u_ring, _minimal_polynomial(columns, {0: 1}))
 
 
 def radical_zero_dim(ideal: Ideal) -> Ideal:
@@ -70,17 +201,53 @@ def radical_zero_dim(ideal: Ideal) -> Ideal:
     return ideal.plus(extra)
 
 
+def _multiplicities(
+    ideal: Ideal, form: Polynomial, pieces: list[Polynomial]
+) -> list[int]:
+    """The exponent of each piece in the characteristic polynomial of
+    multiplication by form on Q[x]/ideal."""
+    monomials = ideal.standard_monomials()
+    charpoly = _in_u(
+        pieces[0].ring,
+        _characteristic_polynomial(_multiplication_matrix(ideal, form, monomials)),
+    )
+    out = []
+    for piece in pieces:
+        m = 0
+        while (quotient := charpoly._exact_quotient(piece)) is not None:
+            charpoly, m = quotient, m + 1
+        out.append(m)
+    return out
+
+
+def _component(prime: Ideal, multiplicity: int, degree: int) -> PrimaryComponent:
+    """The component on a prime given by its reduced basis, with the
+    coordinates of its point, the normal forms of the variables, when the
+    residue degree is 1."""
+    point = None
+    if degree == 1:
+        ring = prime.ring
+        values = normal_forms(ring.gens(), prime.groebner())
+        if not all(v.is_constant() for v in values):
+            raise AssertionError("rational point coordinate is not constant")
+        point = {name: v.constant_value() for name, v in zip(ring.names, values)}
+    return PrimaryComponent(prime, multiplicity, degree, point)
+
+
 def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
     """Primary components of a zero-dimensional ideal.
 
     The sum over components of multiplicity * residue_degree always equals
-    the vector-space dimension of the quotient; this is asserted on every
+    the vector-space dimension of the quotient; this is checked on every
     call.
     """
     ring = ideal.ring
     total = ideal.vector_space_dimension()
     if total == 0:
         return []
+    if total == 1:
+        # the maximal ideal of a rational point
+        return [_component(Ideal(ring, ideal.groebner()), 1, 1)]
     rad = radical_zero_dim(ideal)
     rad_dim = rad.vector_space_dimension()
     form = None
@@ -93,42 +260,23 @@ def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
         if h.total_degree() == rad_dim:
             form, eliminant = cand, h
             break
-    assert form is not None, "no separating linear form found"
+    if form is None:
+        raise AssertionError("no separating linear form found")
     uname = eliminant.ring.names[0]
     _, irreducibles = factor(eliminant)
     pieces = sorted((g for g, _m in irreducibles), key=lambda g: (g.total_degree(), str(g)))
-    images = [g.substitute({uname: form}, ring) for g in pieces]
-    components = []
-    for i, (piece, image) in enumerate(zip(pieces, images)):
-        prime = rad.plus([image])
-        prime = Ideal(ring, prime.groebner())
-        degree = piece.total_degree()
-        if len(pieces) == 1:
-            primary = ideal
-        else:
-            separator = ring.one()
-            for j, other in enumerate(images):
-                if j != i:
-                    separator = separator * other
-            primary = ideal.saturate(separator)
-        length = primary.vector_space_dimension()
-        assert length % degree == 0, "local length not divisible by residue degree"
-        point = None
-        if degree == 1:
-            point = {}
-            for name in ring.names:
-                value = prime.normal_form(ring.var(name))
-                assert value.is_constant(), "rational point coordinate is not constant"
-                point[name] = value.constant_value()
-        components.append(
-            PrimaryComponent(
-                prime=prime,
-                primary=primary,
-                multiplicity=length // degree,
-                residue_degree=degree,
-                point=point,
-            )
+    if rad_dim == total:
+        multiplicities = [1] * len(pieces)  # the ideal is its own radical
+    else:
+        multiplicities = _multiplicities(ideal, form, pieces)
+    components = [
+        _component(
+            Ideal(ring, rad.plus([piece.substitute({uname: form}, ring)]).groebner()),
+            multiplicity,
+            piece.total_degree(),
         )
+        for piece, multiplicity in zip(pieces, multiplicities)
+    ]
     if sum(c.local_length for c in components) != total:
         raise AssertionError("lengths do not add up")
     components.sort(key=lambda c: (c.residue_degree, str(c.prime.groebner())))

@@ -322,18 +322,24 @@ def _interreduced(basis: list[_Elem], packing: Packing) -> list[_Elem]:
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of f on division by basis (first-divisor strategy)."""
+    return normal_forms((f,), basis)[0]
+
+
+def normal_forms(fs: Sequence[Polynomial], basis: Sequence[Polynomial]) -> list[Polynomial]:
+    """normal_form(f, basis) for every f in fs, the basis packed once."""
     if not basis:
-        return f
-    ring = f.ring
-    for g in basis:
-        if g.ring != ring:
-            raise RingMismatchError(f"{ring} vs {g.ring}")
+        return list(fs)
+    ring = basis[0].ring
+    for f in (*basis, *fs):
+        if f.ring != ring:
+            raise RingMismatchError(f"{ring} vs {f.ring}")
 
-    def run(packing: Packing) -> dict:
+    def run(packing: Packing) -> list[dict]:
         divisors = [_Elem(_pack(packing, g), packing) for g in basis]
-        return _reduce(_pack(packing, f), divisors, packing)
+        return [_reduce(_pack(packing, f), divisors, packing) for f in fs]
 
-    return _unpack(ring, *_packed(ring, run))
+    packing, remainders = _packed(ring, run)
+    return [_unpack(ring, packing, r) for r in remainders]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -555,10 +561,13 @@ class Ideal:
         return not self.groebner()
 
     def radical_contains(self, f: Polynomial) -> bool:
-        """Membership in the radical, by the auxiliary-variable trick."""
+        """Membership in the radical. True at once when f reduces to 0 on
+        the ideal's own basis; otherwise decided by the auxiliary-variable
+        trick: f is in the radical exactly when 1 - t*f and the ideal
+        generate the unit ideal."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        if f.is_zero():
+        if f.is_zero() or self.contains(f):
             return True
         t = fresh_name(self.ring.names)
         work = PolynomialRing((t, *self.ring.names), MonomialOrder.elim(1))
@@ -581,8 +590,17 @@ class Ideal:
     def in_ring(self, ring: PolynomialRing) -> "Ideal":
         return Ideal(ring, tuple(g.in_ring(ring) for g in self.gens))
 
+    @staticmethod
+    def _of_basis(ring: PolynomialRing, basis: tuple[Polynomial, ...]) -> "Ideal":
+        """The ideal generated by basis, a reduced Groebner basis under
+        ring's order, with the basis cached."""
+        ideal = Ideal(ring, basis)
+        object.__setattr__(ideal, "_gb", ideal.gens)
+        return ideal
+
     def eliminate(self, drop: Iterable[str]) -> "Ideal":
-        """Project out variables: the ideal of relations among the rest."""
+        """Project out variables: the ideal of relations among the rest,
+        given by (and caching) its reduced grevlex basis."""
         dropset = {n for n in drop}
         for n in dropset:
             self.ring.index(n)
@@ -595,8 +613,11 @@ class Ideal:
         work = PolynomialRing(ordered_drop + kept, MonomialOrder.elim(len(ordered_drop)))
         gb = groebner([g.in_ring(work) for g in self.gens])
         target = PolynomialRing(kept)
-        out = [g.in_ring(target) for g in gb if not (g.variables_used() & dropset)]
-        return Ideal(target, out)
+        # the elements free of the dropped variables are the reduced basis of
+        # the elimination ideal under the order of the kept block, grevlex,
+        # and they come in its ascending order
+        out = tuple(g.in_ring(target) for g in gb if not (g.variables_used() & dropset))
+        return Ideal._of_basis(target, out)
 
     def intersect(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
@@ -617,19 +638,46 @@ class Ideal:
         return Ideal(self.ring, tuple(g.exact_div(f) for g in inter.groebner()))
 
     def saturate(self, f: Polynomial) -> "Ideal":
-        """The saturation self : f^infinity."""
+        """The saturation self : f^infinity, generated by its reduced grevlex
+        basis (cached when the ring's order is grevlex).
+
+        For f of total degree 1, every generator is first divided by its
+        highest power of f. That gives an ideal J between self and the
+        saturation, so J is the saturation as soon as f is a nonzerodivisor
+        modulo J. Three certificates show it without an auxiliary variable:
+
+        - J is principal: f, of degree 1, is prime and divides no generator;
+        - the variable lm(f) occurs in no leading monomial of J's reduced
+          grevlex basis: then lm(f) is a nonzerodivisor on the initial
+          ideal, and so f is one on J (Eisenbud, Commutative Algebra,
+          ch. 15);
+        - J + (f) is the unit ideal.
+
+        Otherwise, and for f of higher degree, the saturation is the
+        elimination of t from J + (1 - t*f) (Rabinowitsch). Both ways give
+        the same reduced basis, which is unique.
+        """
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         if f.is_zero():
             raise ValueError("saturation by the zero polynomial")
         if f.is_constant():
             return self
-        t = fresh_name(self.ring.names)
-        work = PolynomialRing((t, *self.ring.names), MonomialOrder.elim(1))
-        tv = work.var(t)
-        gens = [g.in_ring(work) for g in self.gens]
-        gens.append(work.one() - tv * f.in_ring(work))
-        return Ideal(work, gens).eliminate({t}).in_ring(self.ring)
+        ring = self.ring
+        grevlex = ring.with_order(MonomialOrder.grevlex())
+        if f.total_degree() == 1:
+            linear = f.in_ring(grevlex)
+            stripped = Ideal(
+                grevlex, (_strip_powers(g.in_ring(grevlex), linear) for g in self.gens)
+            )
+            if _nonzerodivisor_modulo(linear, stripped):
+                basis = stripped.groebner()
+            else:
+                basis = _rabinowitsch(stripped, linear).gens
+        else:
+            basis = _rabinowitsch(self, f).gens
+        basis = tuple(g.in_ring(ring) for g in basis)
+        return Ideal._of_basis(ring, basis) if grevlex == ring else Ideal(ring, basis)
 
     def saturate_ideal(self, other: "Ideal") -> "Ideal":
         """Saturation by a (non-unit) ideal: intersect per-generator saturations."""
@@ -677,9 +725,17 @@ class Ideal:
 
     def vector_space_dimension(self) -> int:
         """dim over QQ of ring/ideal; requires a finite staircase."""
+        return len(self.standard_monomials())
+
+    def standard_monomials(self) -> list[tuple[int, ...]]:
+        """The exponents of the monomials no leading monomial of the reduced
+        basis divides, in ascending lex order of the tuples: a basis of
+        ring/ideal over QQ, whose normal forms it spans. Requires a finite
+        staircase (NotZeroDimensionalError otherwise); empty for the unit
+        ideal."""
         gb = self.groebner()
         if any(g.is_constant() for g in gb):
-            return 0
+            return []
         n = self.ring.nvars
         lms = [g.leading_monomial() for g in gb]
         bounds = []
@@ -694,8 +750,51 @@ class Ideal:
                     f"no leading power of {self.ring.names[i]!r}: positive-dimensional"
                 )
             bounds.append(min(pure))
-        count = 0
-        for e in itertools.product(*(range(b) for b in bounds)):
-            if not any(exp_divides(lm, e) for lm in lms):
-                count += 1
-        return count
+        return [
+            e
+            for e in itertools.product(*(range(b) for b in bounds))
+            if not any(exp_divides(lm, e) for lm in lms)
+        ]
+
+
+def _strip_powers(g: Polynomial, f: Polynomial) -> Polynomial:
+    """g divided by the highest power of f that divides it, up to a nonzero
+    constant factor."""
+    if len(f.terms) == 1:
+        # f is a constant times one variable: shift out its lowest power
+        i = next(iter(f.terms)).index(1)
+        k = min(e[i] for e in g.terms)
+        if not k:
+            return g
+        return Polynomial._new(
+            g.ring, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.terms.items()}
+        )
+    lead = f.leading_monomial()
+    while exp_divides(lead, g.leading_monomial()):  # needed for f to divide g
+        quotient = g._exact_quotient(f)
+        if quotient is None:
+            break
+        g = quotient
+    return g
+
+
+def _nonzerodivisor_modulo(f: Polynomial, ideal: Ideal) -> bool:
+    """Whether one of Ideal.saturate's certificates shows that f, of total
+    degree 1, no power of which divides a generator, is a nonzerodivisor
+    modulo the ideal. The ring's order is grevlex. False means no
+    certificate applies, not that f is a zerodivisor."""
+    if len(ideal.gens) <= 1:
+        return True
+    i = f.leading_monomial().index(1)
+    if not any(g.leading_monomial()[i] for g in ideal.groebner()):
+        return True
+    return ideal.plus([f]).is_trivial()
+
+
+def _rabinowitsch(ideal: Ideal, f: Polynomial) -> Ideal:
+    """ideal : f^infinity as the elimination of t from ideal + (1 - t*f)."""
+    t = fresh_name(ideal.ring.names)
+    work = PolynomialRing((t, *ideal.ring.names), MonomialOrder.elim(1))
+    gens = [g.in_ring(work) for g in ideal.gens]
+    gens.append(work.one() - work.var(t) * f.in_ring(work))
+    return Ideal(work, gens).eliminate({t})

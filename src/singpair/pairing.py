@@ -107,7 +107,9 @@ def intersect_on_chart(chart: Chart, left: Ideal, right: Ideal) -> list[PrimaryC
     sing = singular_locus(chart.relations)
     components = zero_dim_decompose(meet)
     for pc in components:
-        if pc.prime.variety_contained_in(sing):
+        # pc.prime is maximal, so its point lies on V(sing) exactly when
+        # every generator of sing is in pc.prime
+        if all(pc.prime.contains(g) for g in sing.gens):
             raise SmoothnessError(
                 f"intersection point on chart {chart.name} sits where the chart is singular"
             )
@@ -131,8 +133,15 @@ def pushforward(
         for pc in components:
             if not chart.owns(pc.prime):
                 continue
-            # the image of a closed point is a closed point: already maximal
-            image = blowdown_image(chart, pc.prime, base)
+            # the image of a closed point is a closed point: already maximal.
+            # A rational point's image is the base binding evaluated there
+            if pc.point is None:
+                image = blowdown_image(chart, pc.prime, base)
+            else:
+                image = Ideal(
+                    base,
+                    (base.var(n) - value.evaluate(pc.point) for n, value in chart.base_binding),
+                )
             residue_degree = image.vector_space_dimension()
             assert pc.residue_degree % residue_degree == 0
             relative = pc.residue_degree // residue_degree

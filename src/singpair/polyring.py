@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, itemgetter, le, mul, neg, sub
+from operator import add, itemgetter, le, mul, neg
 from typing import Mapping, Union
 
 from .errors import ExactDivisionError, ExponentOverflowError, PolyParseError, RingMismatchError
@@ -60,10 +60,6 @@ def _quotient(a: Scalar, b: Scalar) -> Scalar:
 
 def exp_add(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
-
-
-def exp_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
 
 
 def exp_lcm(a: Exponents, b: Exponents) -> Exponents:
@@ -537,6 +533,14 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise ExactDivisionError("division by zero polynomial")
+        quotient = self._exact_quotient(other)
+        if quotient is None:
+            raise ExactDivisionError(f"{other} does not divide {self}")
+        return quotient
+
+    def _exact_quotient(self, other: "Polynomial") -> "Polynomial | None":
+        """exact_div's quotient, or None when the division is inexact; other
+        is nonzero and in self's ring."""
         order, n = self.ring.order, self.ring.nvars
         packing = order.packing(n)
         while True:
@@ -584,14 +588,7 @@ class Polynomial:
                 )
         except ExponentOverflowError:
             pass  # other, or a product, does not fit the fields that hold self
-        raise ExactDivisionError(f"{other} does not divide {self}")
-
-    def divides(self, other: "Polynomial") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ExactDivisionError:
-            return False
+        return None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from singpair.errors import ImproperIntersectionError
+from singpair.factor import factor
 from singpair.geometry import (
+    _characteristic_polynomial,
+    _eliminant,
     center_quadratic_form,
     dehomogenize,
     is_smooth,
@@ -14,8 +18,8 @@ from singpair.geometry import (
     singular_locus,
     zero_dim_decompose,
 )
-from singpair.ideals import Ideal
-from singpair.polyring import PolynomialRing
+from singpair.ideals import Ideal, fresh_name
+from singpair.polyring import MonomialOrder, PolynomialRing
 
 
 R2 = PolynomialRing(("x", "y"))
@@ -151,3 +155,190 @@ def test_projective_positive_dimensional_rejected():
     P = PolynomialRing(("S", "T", "X"))
     with pytest.raises(ImproperIntersectionError):
         projective_rational_points((P.parse("X"),))
+
+
+def reference_eliminant(ideal, form):
+    """The monic generator of (ideal + (u - form)) meet Q[u], by eliminating
+    the ideal's variables from the ring with u adjoined. The elimination
+    starts from the reduced basis: the products below have many generators
+    of high degree, on which it takes minutes."""
+    ring = ideal.ring
+    u = fresh_name(ring.names, "_u")
+    work = PolynomialRing((*ring.names, u))
+    gens = [g.in_ring(work) for g in ideal.groebner()]
+    gens.append(work.var(u) - form.in_ring(work))
+    gb = Ideal(work, gens).eliminate(set(ring.names)).groebner()
+    assert len(gb) == 1
+    return gb[0]
+
+
+def reference_saturate(ideal, f):
+    """ideal : f^infinity as the elimination of t from ideal + (1 - t*f),
+    starting from the reduced basis."""
+    t = fresh_name(ideal.ring.names)
+    work = PolynomialRing((t, *ideal.ring.names), MonomialOrder.elim(1))
+    gens = [g.in_ring(work) for g in ideal.groebner()]
+    gens.append(work.one() - work.var(t) * f.in_ring(work))
+    return Ideal(work, gens).eliminate({t}).in_ring(ideal.ring)
+
+
+def squarefree(h):
+    out = h.ring.one()
+    for g, _m in factor(h)[1]:
+        out = out * g
+    return out
+
+
+def reference_components(ideal):
+    """(reduced basis of the prime, multiplicity, residue degree) of every
+    component, in zero_dim_decompose's order, by eliminations: the radical
+    from the squarefree eliminants of the variables, the first separating
+    form of the same sequence, and each local length the dimension of the
+    saturation by the product of the other components' images."""
+    ring = ideal.ring
+    if ideal.vector_space_dimension() == 0:
+        return []
+    rad = ideal.plus([
+        squarefree(h).substitute({h.ring.names[0]: ring.var(n)}, ring)
+        for n in ring.names
+        for h in [reference_eliminant(ideal, ring.var(n))]
+    ])
+    rad_dim = rad.vector_space_dimension()
+    for k in range(64):
+        form = ring.zero()
+        for i, name in enumerate(ring.names):
+            form = form + ring.var(name) * Fraction(k) ** i
+        h = reference_eliminant(rad, form)
+        if h.total_degree() == rad_dim:
+            break
+    pieces = sorted((g for g, _m in factor(h)[1]), key=lambda g: (g.total_degree(), str(g)))
+    images = [g.substitute({h.ring.names[0]: form}, ring) for g in pieces]
+    out = []
+    for i, (piece, image) in enumerate(zip(pieces, images)):
+        separator = ring.one()
+        for j, other in enumerate(images):
+            if j != i:
+                separator = separator * other
+        primary = reference_saturate(ideal, separator)
+        length = primary.vector_space_dimension()
+        assert length % piece.total_degree() == 0
+        prime = rad.plus([image]).groebner()
+        out.append((prime, length // piece.total_degree(), piece.total_degree()))
+    return sorted(out, key=lambda c: (c[2], str(c[0])))
+
+
+def product(ring, ideals):
+    gens = [ring.one()]
+    for ideal in ideals:
+        gens = [g * h for g in gens for h in ideal.gens]
+    return Ideal(ring, gens)
+
+
+def random_component(rng, ring):
+    """A point ideal in two variables: a fat point that is a power of a
+    maximal ideal, a curvilinear one, a Galois orbit of two or three
+    conjugate points, or four conjugates no coordinate separates."""
+    x, y = ring.gens()
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        e = rng.randint(1, 3)
+        return Ideal(ring, [(x - a) ** i * (y - b) ** (e - i) for i in range(e + 1)])
+    if kind == 1:
+        return Ideal(ring, ((x - a) - (y - b) ** 2, (y - b) ** rng.randint(2, 3)))
+    if kind == 2:
+        p = rng.choice(("x^2 - 2", "x^2 + x + 1", "x^3 - 2", "x^3 - x - 1"))
+        return Ideal(ring, (ring.parse(p), y - b - x * rng.choice((0, 1, -2))))
+    d = rng.choice((2, 3, 5))
+    return Ideal(ring, (x**2 - d, y**2 - 3 * d))
+
+
+def seeded_zero_dim_ideals():
+    """Products of one to three random point ideals in either variable
+    order, one point ideal under lex, and three of dimension 30 or more."""
+    rng = random.Random("zero-dim")
+    ideals = []
+    for k in range(24):
+        ring = PolynomialRing(("x", "y") if k % 2 else ("y", "x"))
+        parts = [random_component(rng, ring) for _ in range(rng.randint(1, 3))]
+        ideals.append(product(ring, parts))
+    lex = PolynomialRing(("x", "y"), MonomialOrder.lex())
+    ideals.append(Ideal.parse(lex, "(x^2 - 2)*(x - 1)^2; (y - x)^2"))
+    ring = PolynomialRing(("x", "y"))
+    ideals.append(Ideal.parse(ring, "(x^3 - 2)*(x - 1)^4*(x^2 + 1)^2; y^3 - x*y - 1"))  # 33
+    # a grid of 30: no coordinate separates the four points over x^2 = 3,
+    # y^2 = 5, and (1, -1) is a fat point of length 6
+    ideals.append(Ideal.parse(ring, "(x^2 - 3)*(x - 1)^3*(x + 2); (y^2 - 5)*(y + 1)^2*y"))
+    R3 = PolynomialRing(("x", "y", "z"))
+    # one point of residue degree 10 and multiplicity 3
+    ideals.append(Ideal.parse(R3, "x^2 - 2; (y - x)^3; z^5 - z - x"))
+    return ideals
+
+
+def test_decomposition_matches_the_elimination_reference():
+    sizes = []
+    for ideal in seeded_zero_dim_ideals():
+        got = [(c.prime.groebner(), c.multiplicity, c.residue_degree)
+               for c in zero_dim_decompose(ideal)]
+        assert got == reference_components(ideal), ideal
+        sizes.append(ideal.vector_space_dimension())
+    assert sum(size >= 30 for size in sizes) >= 3
+
+
+def test_eliminants_match_the_elimination_reference():
+    rng = random.Random("eliminant")
+    degrees = set()
+    for ideal in seeded_zero_dim_ideals():
+        ring = ideal.ring
+        forms = [ring.var(n) for n in ring.names]
+        # the elimination reference is slow on a generic form in three
+        # variables, and takes minutes on a quadratic form once the quotient
+        # is larger
+        if ring.nvars == 2:
+            forms.append(sum((ring.var(n) * rng.choice((-3, -1, 2, 3)) for n in ring.names), ring.one()))
+        if ideal.vector_space_dimension() <= 6:
+            forms.append(ring.var(ring.names[0]) ** 2 - ring.var(ring.names[-1]) * Fraction(1, 2))
+        for form in forms:
+            got = _eliminant(ideal, form)
+            want = reference_eliminant(ideal, form)
+            assert got == want and got.ring == want.ring
+            degrees.add(got.total_degree())
+    assert max(degrees) >= 30
+
+
+def determinant(rows):
+    """By Gaussian elimination over Q."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    n, det = len(rows), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            q = rows[i][k] / rows[k][k]
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def test_characteristic_polynomial_matches_determinants():
+    # det(c - M) at n + 1 values of c pins down the degree n polynomial;
+    # sparse matrices make the Hessenberg reduction swap and skip columns
+    rng = random.Random("charpoly")
+    for n in range(1, 10):
+        for _ in range(4):
+            dense = [
+                [rng.choice((0, 0, 0, 1, -2, Fraction(1, 3))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            columns = [{i: dense[i][j] for i in range(n) if dense[i][j]} for j in range(n)]
+            coefficients = _characteristic_polynomial(columns)
+            assert len(coefficients) == n + 1 and coefficients[-1] == 1
+            for c in range(n + 1):
+                shifted = [
+                    [(c if i == j else 0) - dense[i][j] for j in range(n)] for i in range(n)
+                ]
+                assert sum(a * c**k for k, a in enumerate(coefficients)) == determinant(shifted)

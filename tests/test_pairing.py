@@ -1,5 +1,6 @@
 """Pairing through the tower: transforms, multiplicities, audits, comparisons."""
 
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -20,6 +21,7 @@ from singpair.pairing import (
     direct_degree,
     intersect_on_chart,
     pair,
+    pushforward,
     transform_cycle,
 )
 from singpair.polyring import PolynomialRing
@@ -271,6 +273,25 @@ class TestPlanePairs:
         assert report["degree"] == 0
         assert report["direct_degree"] == 1
         assert report["charts"] == {}
+
+    def test_rational_points_push_down_as_the_graph_elimination_does(self):
+        # a rational point's image is its chart bindings evaluated there; the
+        # graph elimination, which the conjugate pair x^2 = 2 still takes,
+        # gives the same points with the same generators
+        a = Cycle("h", Ideal.parse(PLANE, "y - 1"), Perversity.zero(2))
+        b = Cycle("c", Ideal.parse(PLANE, "(x^2 - 2)*(x - 3)"), Perversity.top(2))
+        charts = pair(a, b, plane_strat())["charts"]
+        kinds = {pc.point is None for comps in charts.values() for pc in comps}
+        assert kinds == {True, False}
+        eliminated = {
+            name: [replace(pc, point=None) for pc in comps] for name, comps in charts.items()
+        }
+        got, want = pushforward(plane_strat(), charts), pushforward(plane_strat(), eliminated)
+        assert got == want
+        assert [e["prime"].gens for e in got["points"]] == [
+            e["prime"].gens for e in want["points"]
+        ]
+        assert [e["residue_degree"] for e in got["points"]] == [1, 2]
 
     def test_direct_degree_of_overlap_is_undefined(self):
         line = Ideal.parse(PLANE, "y - x")

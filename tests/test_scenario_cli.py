@@ -565,16 +565,20 @@ class TestTransformMemo:
 
     def test_a_step_that_runs_out_of_budget_stores_nothing(self):
         first, _, line = self.siblings()
+        # the same line cut by two equations: a principal cycle's strict
+        # transform needs no Groebner basis and charges no step, this one's does
+        cycle = Ideal.parse(line.ring, "x^2 - y^2; x^3 - y^3")
         with ideals.reduction_budget(10**6) as meter:
-            outside = proper_transform(first, line)
+            outside = proper_transform(first, cycle)
+        assert meter.used > 0
         with ideals.groebner_memo():
             with pytest.raises(BudgetExceededError):
                 with ideals.reduction_budget(meter.used - 1):
-                    proper_transform(first, line)
+                    proper_transform(first, cycle)
             with ideals.reduction_budget(10**6) as again:
-                retried = proper_transform(first, line)
+                retried = proper_transform(first, cycle)
             with ideals.reduction_budget(10**6) as stored:
-                remembered = proper_transform(first, line)
+                remembered = proper_transform(first, cycle)
             assert retried == outside and again.used > 0
             assert remembered is retried and stored.used == 0
 
