@@ -245,9 +245,6 @@ def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
     total = ideal.vector_space_dimension()
     if total == 0:
         return []
-    if total == 1:
-        # the maximal ideal of a rational point
-        return [_component(Ideal(ring, ideal.groebner()), 1, 1)]
     rad = radical_zero_dim(ideal)
     rad_dim = rad.vector_space_dimension()
     form = None

@@ -563,8 +563,8 @@ class Ideal:
     def radical_contains(self, f: Polynomial) -> bool:
         """Membership in the radical. True at once when f reduces to 0 on
         the ideal's own basis; otherwise decided by the auxiliary-variable
-        trick: f is in the radical exactly when 1 - t*f and the ideal
-        generate the unit ideal."""
+        trick, started from that basis: f is in the radical exactly when
+        1 - t*f and the ideal generate the unit ideal."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         if f.is_zero() or self.contains(f):
@@ -572,7 +572,7 @@ class Ideal:
         t = fresh_name(self.ring.names)
         work = PolynomialRing((t, *self.ring.names), MonomialOrder.elim(1))
         tv = work.var(t)
-        gens = [g.in_ring(work) for g in self.gens]
+        gens = [g.in_ring(work) for g in self.groebner()]
         gens.append(work.one() - tv * f.in_ring(work))
         return Ideal(work, gens).is_trivial()
 
@@ -653,9 +653,10 @@ class Ideal:
           ch. 15);
         - J + (f) is the unit ideal.
 
-        Otherwise, and for f of higher degree, the saturation is the
-        elimination of t from J + (1 - t*f) (Rabinowitsch). Both ways give
-        the same reduced basis, which is unique.
+        Otherwise the saturation is the elimination of t from J + (1 - t*f)
+        (Rabinowitsch), started from J's reduced basis; for f of higher
+        degree, from self + (1 - t*f). Both ways give the same reduced
+        basis, which is unique.
         """
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
@@ -673,7 +674,7 @@ class Ideal:
             if _nonzerodivisor_modulo(linear, stripped):
                 basis = stripped.groebner()
             else:
-                basis = _rabinowitsch(stripped, linear).gens
+                basis = _rabinowitsch(Ideal(grevlex, stripped.groebner()), linear).gens
         else:
             basis = _rabinowitsch(self, f).gens
         basis = tuple(g.in_ring(ring) for g in basis)
@@ -758,17 +759,7 @@ class Ideal:
 
 
 def _strip_powers(g: Polynomial, f: Polynomial) -> Polynomial:
-    """g divided by the highest power of f that divides it, up to a nonzero
-    constant factor."""
-    if len(f.terms) == 1:
-        # f is a constant times one variable: shift out its lowest power
-        i = next(iter(f.terms)).index(1)
-        k = min(e[i] for e in g.terms)
-        if not k:
-            return g
-        return Polynomial._new(
-            g.ring, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.terms.items()}
-        )
+    """g divided by the highest power of f that divides it."""
     lead = f.leading_monomial()
     while exp_divides(lead, g.leading_monomial()):  # needed for f to divide g
         quotient = g._exact_quotient(f)
