@@ -34,7 +34,7 @@ from functools import reduce
 from math import gcd as int_gcd
 from typing import Iterable
 
-from .errors import ExactDivisionError, FactorScopeError
+from .errors import FactorScopeError
 from .ideals import remembered
 from .polyring import Polynomial, PolynomialRing, Scalar
 
@@ -524,13 +524,6 @@ def _xu_bezout(
     return s, (1 - s * g).exact_div(h)
 
 
-def _quotient(f: Polynomial, h: Polynomial) -> Polynomial | None:
-    try:
-        return f.exact_div(h)
-    except ExactDivisionError:
-        return None
-
-
 def _bivariate_factors(g: Polynomial, xname: str, uname: str) -> list[Polynomial]:
     """The irreducible factors of g, from one lift along a line u = c.
 
@@ -586,7 +579,7 @@ def _bivariate_factors(g: Polynomial, xname: str, uname: str) -> list[Polynomial
         return reduce(lambda a, b: _trunc(a * b, uname, K), subset)
 
     out = []
-    for h in _recombine(Fhat, lifted, combine, _quotient):
+    for h in _recombine(Fhat, lifted, combine, Polynomial._exact_quotient):
         # map back: x -> L*x, strip content in u, undo the translation
         raw = h.substitute({xname: L * x}, ring)
         cont = reduce(_poly_gcd, coefficients_in(raw, xname))
@@ -658,7 +651,8 @@ def _candidates(g: Polynomial) -> set[Polynomial]:
     def unpack(subset: list[Polynomial]) -> Polynomial:
         return _kronecker_unpack(reduce(operator.mul, subset), bname, cname, D).monic()
 
-    return out | {h.monic() for h in _recombine(g, expanded, unpack, _quotient)}
+    found = _recombine(g, expanded, unpack, Polynomial._exact_quotient)
+    return out | {h.monic() for h in found}
 
 
 def _factor_in_ring(f: Polynomial) -> tuple[Scalar, list[tuple[Polynomial, int]]]:
@@ -667,13 +661,7 @@ def _factor_in_ring(f: Polynomial) -> tuple[Scalar, list[tuple[Polynomial, int]]
     work = f
     out: list[tuple[Polynomial, int]] = []
     for cand in candidates:
-        mult = 0
-        while True:
-            try:
-                work = work.exact_div(cand)
-            except ExactDivisionError:
-                break
-            mult += 1
+        work, mult = work.strip_powers(cand)
         if mult:
             out.append((cand, mult))
     if not work.is_constant():

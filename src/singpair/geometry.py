@@ -9,16 +9,18 @@ J. Symb. Comp. 1993). A form acts on the quotient by a matrix whose columns
 are normal forms. The eliminant of a form, the generator of
 (I + (u - form)) meet Q[u], is the minimal polynomial of that action, found
 by Gaussian elimination on the images of 1, form, form^2, ... The radical
-adds the squarefree part of each variable's eliminant. A form is separating
+adds the squarefree part of each variable's eliminant that is not
+squarefree; when every one is, the ideal is its own radical (Seidenberg's
+lemma) and no new basis is computed. A form is separating
 when its eliminant on the radical has the radical's dimension as degree;
 the irreducible factors of that eliminant are the points, and each point's
 multiplicity is the exponent of its factor in the characteristic
 polynomial of the form on Q[x]/I (Hessenberg reduction, O(D^3) for a
 quotient of dimension D). Smoothness is decided
 by the Jacobian criterion on a complete-intersection presentation. The
-quadratic-form detector extracts the symmetric matrix of a hypersurface
-along a coordinate-like center; its determinant cuts out the locus where
-the normal quadric degenerates.
+quadratic form of a hypersurface along a coordinate-like center is its
+Hessian in the center variables, evaluated on the center; its determinant
+cuts out the locus where the normal quadric degenerates.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .errors import (
     CompleteIntersectionError,
@@ -186,19 +189,20 @@ def _eliminant(ideal: Ideal, form: Polynomial) -> Polynomial:
 
 
 def radical_zero_dim(ideal: Ideal) -> Ideal:
-    """Radical of a zero-dimensional ideal via squarefree eliminants."""
+    """Radical of a zero-dimensional ideal: the squarefree part of each
+    variable's eliminant that is not squarefree is adjoined, and the ideal
+    itself returned when there is none (Seidenberg's lemma)."""
     ring = ideal.ring
     ideal.vector_space_dimension()  # raises when not zero-dimensional
     extra = []
     for name in ring.names:
         h = _eliminant(ideal, ring.var(name))
-        dense_ring = h.ring
         _, factors = factor(h)
-        sqfree = dense_ring.one()
-        for g, _m in factors:
-            sqfree = sqfree * g
-        extra.append(sqfree.substitute({dense_ring.names[0]: ring.var(name)}, ring))
-    return ideal.plus(extra)
+        if all(m == 1 for _g, m in factors):
+            continue  # h lies in the ideal already
+        sqfree = prod((g for g, _m in factors), start=h.ring.one())
+        extra.append(sqfree.substitute({h.ring.names[0]: ring.var(name)}, ring))
+    return ideal.plus(extra) if extra else ideal
 
 
 def _multiplicities(
@@ -213,9 +217,7 @@ def _multiplicities(
     )
     out = []
     for piece in pieces:
-        m = 0
-        while (quotient := charpoly._exact_quotient(piece)) is not None:
-            charpoly, m = quotient, m + 1
+        charpoly, m = charpoly.strip_powers(piece)
         out.append(m)
     return out
 
@@ -355,75 +357,42 @@ def is_smooth(relations: Ideal) -> bool:
 # -- quadratic form along a center ---------------------------------------------
 
 
-def _affine_coordinate(g: Polynomial) -> tuple[str, Scalar, Scalar] | None:
-    """Decompose g = scale * name + shift when g is affine in one variable."""
-    used = g.variables_used()
-    if len(used) != 1:
-        return None
-    (name,) = used
-    if g.degree_in(name) != 1:
-        return None
-    unit = tuple(1 if i == g.ring.index(name) else 0 for i in range(g.ring.nvars))
-    scale = g.terms[unit]
-    rest = g - g.ring.var(name) * scale
-    if not rest.is_constant():
-        return None
-    return name, scale, rest.constant_value()
-
-
 def center_quadratic_form(
     f: Polynomial, center_gens: tuple[Polynomial, ...]
 ) -> list[list[Polynomial]] | None:
     """Symmetric matrix of f's quadratic part along a coordinate-like center.
 
     Requires every center generator to be affine in a single distinct
-    variable (scale * v + shift) and f to lie in the square of the center
-    ideal. Entry (k, l) holds the coefficient of center_gens[k] *
-    center_gens[l]; everything is scaled by 2 to stay integral, which does
-    not move the vanishing locus of any minor. Returns None when the shape
-    does not match.
+    variable, scale * v + shift, which puts the center at v = -shift/scale,
+    and f to lie in the square of the center ideal: f and its first
+    derivatives in the center variables vanish there. Entry (k, l) is the
+    Hessian entry d^2 f / dv_k dv_l there, divided by scale_k * scale_l:
+    the coefficient of center_gens[k] * center_gens[l], doubled on the
+    diagonal, which moves the vanishing locus of no minor. Returns None
+    when the shape does not match.
     """
     ring = f.ring
-    pieces = []
-    names_seen = set()
+    point: dict[str, Scalar] = {}
+    scales = []
     for g in center_gens:
-        got = _affine_coordinate(g)
-        if got is None or got[0] in names_seen:
+        used = g.variables_used()
+        if len(used) != 1 or g.total_degree() != 1 or not used.isdisjoint(point):
             return None
-        names_seen.add(got[0])
-        pieces.append(got)
-    # move the center to the coordinate origin: v -> v - shift/scale
-    shifted = f.substitute(
-        {
-            name: ring.var(name) - ring.const(Fraction(shift, scale))
-            for name, scale, shift in pieces
-        },
-        ring,
-    )
-    indices = [ring.index(name) for name, _s, _c in pieces]
-    scales = [scale for _n, scale, _c in pieces]
-    m = len(pieces)
-    matrix = [[ring.zero() for _ in range(m)] for _ in range(m)]
-    for e, c in shifted.terms.items():
-        wdeg = sum(e[i] for i in indices)
-        if wdeg < 2:
-            return None  # f is not in the square of the center ideal
-        if wdeg > 2:
-            continue
-        rest = list(e)
-        for i in indices:
-            rest[i] = 0
-        coeff = Polynomial(ring, {tuple(rest): c})
-        positions = [k for k, i in enumerate(indices) if e[i] > 0]
-        if len(positions) == 1:
-            k = positions[0]
-            matrix[k][k] = matrix[k][k] + coeff * (Fraction(2) / (scales[k] * scales[k]))
-        else:
-            k, l = positions
-            entry = coeff * (Fraction(1) / (scales[k] * scales[l]))
-            matrix[k][l] = matrix[k][l] + entry
-            matrix[l][k] = matrix[l][k] + entry
-    return matrix
+        (name,) = used
+        scale = g.differentiate(name).constant_value()
+        point[name] = Fraction(-g.evaluate({name: 0}), scale)
+        scales.append(scale)
+    names = list(point)
+    slopes = [f.differentiate(name) for name in names]
+    if any(not p.substitute(point, ring).is_zero() for p in [f, *slopes]):
+        return None  # f is not in the square of the center ideal
+    return [
+        [
+            slope.differentiate(name).substitute(point, ring) * Fraction(1, sk * sl)
+            for name, sl in zip(names, scales)
+        ]
+        for slope, sk in zip(slopes, scales)
+    ]
 
 
 def quadric_rank_drop(matrix: list[list[Polynomial]], ring: PolynomialRing) -> Polynomial:

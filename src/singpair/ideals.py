@@ -564,17 +564,13 @@ class Ideal:
         """Membership in the radical. True at once when f reduces to 0 on
         the ideal's own basis; otherwise decided by the auxiliary-variable
         trick, started from that basis: f is in the radical exactly when
-        1 - t*f and the ideal generate the unit ideal."""
+        1 - t*f and the ideal generate the unit ideal, that is, when the
+        Rabinowitsch saturation by f is."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         if f.is_zero() or self.contains(f):
             return True
-        t = fresh_name(self.ring.names)
-        work = PolynomialRing((t, *self.ring.names), MonomialOrder.elim(1))
-        tv = work.var(t)
-        gens = [g.in_ring(work) for g in self.groebner()]
-        gens.append(work.one() - tv * f.in_ring(work))
-        return Ideal(work, gens).is_trivial()
+        return _rabinowitsch(Ideal(self.ring, self.groebner()), f).is_trivial()
 
     def variety_contained_in(self, other: "Ideal") -> bool:
         """True when every common zero of self is a zero of other."""
@@ -669,7 +665,7 @@ class Ideal:
         if f.total_degree() == 1:
             linear = f.in_ring(grevlex)
             stripped = Ideal(
-                grevlex, (_strip_powers(g.in_ring(grevlex), linear) for g in self.gens)
+                grevlex, (g.in_ring(grevlex).strip_powers(linear)[0] for g in self.gens)
             )
             if _nonzerodivisor_modulo(linear, stripped):
                 basis = stripped.groebner()
@@ -756,17 +752,6 @@ class Ideal:
             for e in itertools.product(*(range(b) for b in bounds))
             if not any(exp_divides(lm, e) for lm in lms)
         ]
-
-
-def _strip_powers(g: Polynomial, f: Polynomial) -> Polynomial:
-    """g divided by the highest power of f that divides it."""
-    lead = f.leading_monomial()
-    while exp_divides(lead, g.leading_monomial()):  # needed for f to divide g
-        quotient = g._exact_quotient(f)
-        if quotient is None:
-            break
-        g = quotient
-    return g
 
 
 def _nonzerodivisor_modulo(f: Polynomial, ideal: Ideal) -> bool:

@@ -590,6 +590,22 @@ class Polynomial:
             pass  # other, or a product, does not fit the fields that hold self
         return None
 
+    def strip_powers(self, f: "Polynomial") -> tuple["Polynomial", int]:
+        """(q, k) with self = f^k * q and f not dividing q: self divided by
+        the highest power of f that divides it. self is nonzero and f is
+        not constant."""
+        self._check(f)
+        if f.is_constant():
+            raise ValueError("cannot strip powers of a constant")
+        lead = f.leading_monomial()
+        g, k = self, 0
+        while exp_divides(lead, g.leading_monomial()):  # needed for f to divide g
+            quotient = g._exact_quotient(f)
+            if quotient is None:
+                break
+            g, k = quotient, k + 1
+        return g, k
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)

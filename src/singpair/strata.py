@@ -43,6 +43,7 @@ pass one as `rules`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .blowup import Chart, ResolutionTower, graph_ideal
 from .errors import CompleteIntersectionError, EmptyVarietyError, FactorScopeError
@@ -65,8 +66,9 @@ def split_components(ideal: Ideal) -> list[Ideal]:
 
     Not a primary decomposition. A generator that factors turns the ideal
     into one branch per irreducible factor (multiplicities dropped, so each
-    branch is closer to radical). Branches are reduced, deduplicated, and
-    pieces contained in another piece are removed. On scope overflow, or past
+    branch is closer to radical). Branches are reduced and filtered by
+    _maximal: of several with one zero set only one is kept, and a piece
+    whose zero set lies in another's is removed. On scope overflow, or past
     SPLIT_LIMIT branches, the ideal is returned unsplit.
     """
     if ideal.is_trivial():
@@ -96,20 +98,23 @@ def split_components(ideal: Ideal) -> list[Ideal]:
             branch = Ideal(current.ring, rest + (p,))
             if not branch.is_trivial():
                 queue.append(branch)
+    return _maximal(done)
+
+
+def _maximal(ideals: Iterable[Ideal]) -> list[Ideal]:
+    """The ideals whose zero set lies in no other's, deduplicated by
+    canonical_key and sorted by its text. Of several ideals with the same
+    zero set, the first in that order is kept."""
     unique: dict = {}
-    for piece in done:
-        unique.setdefault(piece.canonical_key(), piece)
+    for ideal in ideals:
+        unique.setdefault(ideal.canonical_key(), ideal)
     pieces = sorted(unique.values(), key=lambda p: str(p.canonical_key()))
     kept: list[Ideal] = []
-    for p in pieces:
-        absorbed = False
-        for q in pieces:
-            if q.canonical_key() == p.canonical_key():
-                continue
-            if p.variety_contained_in(q) and not q.variety_contained_in(p):
-                absorbed = True
+    for i, p in enumerate(pieces):
+        for j, q in enumerate(pieces):
+            if j != i and p.variety_contained_in(q) and (j < i or not q.variety_contained_in(p)):
                 break
-        if not absorbed:
+        else:
             kept.append(p)
     return kept
 
@@ -197,47 +202,20 @@ class Stratification:
                 )
             self._add(ideal, "annotation")
         if "components" in self.rules:
-            refined: list[StratumPiece] = []
-            for piece in self.pieces:
+            pieces, self.pieces = self.pieces, []
+            for piece in pieces:
                 parts = split_components(piece.ideal)
                 if len(parts) == 1 and parts[0].canonical_key() == piece.ideal.canonical_key():
-                    refined.append(piece)
+                    self.pieces.append(piece)
                     continue
                 for part in parts:
-                    d = self._dim(part)
-                    if d is None:
-                        continue
-                    level = min(max(self.top - d, 1), self.top)
-                    refined.append(
-                        StratumPiece(part, level, piece.rule, piece.step, "component")
-                    )
-            self.pieces = refined
+                    self._add(part, piece.rule, piece.step, "component")
         self.levels: dict[int, list[Ideal]] = {
             i: self._minimal(i) for i in range(1, self.top + 1)
         }
 
     def _minimal(self, level: int) -> list[Ideal]:
-        cands: dict = {}
-        for piece in self.pieces:
-            if piece.level >= level:
-                cands.setdefault(piece.ideal.canonical_key(), piece.ideal)
-        pieces = sorted(cands.values(), key=lambda p: str(p.canonical_key()))
-        kept: list[Ideal] = []
-        for p in pieces:
-            absorbed = False
-            for q in pieces:
-                if q.canonical_key() == p.canonical_key():
-                    continue
-                if p.variety_contained_in(q):
-                    if q.variety_contained_in(p) and str(q.canonical_key()) > str(
-                        p.canonical_key()
-                    ):
-                        continue
-                    absorbed = True
-                    break
-            if not absorbed:
-                kept.append(p)
-        return kept
+        return _maximal(piece.ideal for piece in self.pieces if piece.level >= level)
 
     # -- rules -------------------------------------------------------------------
 

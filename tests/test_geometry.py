@@ -19,7 +19,7 @@ from singpair.geometry import (
     zero_dim_decompose,
 )
 from singpair.ideals import Ideal, fresh_name
-from singpair.polyring import MonomialOrder, PolynomialRing
+from singpair.polyring import MonomialOrder, Polynomial, PolynomialRing
 
 
 R2 = PolynomialRing(("x", "y"))
@@ -63,6 +63,16 @@ def test_decompose_mixed_multiplicity():
 def test_radical_zero_dim():
     rad = radical_zero_dim(Ideal.parse(R2, "x^2; y^3"))
     assert rad == Ideal.parse(R2, "x; y")
+
+
+def test_radical_zero_dim_returns_a_radical_ideal_itself():
+    # both eliminants, x^2 - 1 and y^2 - 1, are squarefree, so the ideal is
+    # its own radical; of (x^2 - 1, y^2) only y's eliminant y^2 is not
+    # squarefree, so only its squarefree part y is adjoined
+    ideal = Ideal.parse(R2, "x^2 - 1; y - x")
+    assert radical_zero_dim(ideal) is ideal
+    fat = Ideal.parse(R2, "x^2 - 1; y^2")
+    assert radical_zero_dim(fat).gens == fat.gens + (R2.var("y"),)
 
 
 def test_rational_points_sorted():
@@ -121,6 +131,105 @@ def test_center_quadratic_form_rejects_bad_shapes():
     f = R2.parse("x^2 + y")
     assert center_quadratic_form(f, (R2.var("x"), R2.var("y"))) is None  # y-term degree 1
     assert center_quadratic_form(R2.parse("x^2"), (R2.parse("x + y"),)) is None
+
+
+def reference_center_quadratic_form(f, center_gens):
+    """The matrix center_quadratic_form gives, read off term by term: each
+    generator scale*v + shift is split apart, f is moved so that the center
+    sits at the origin, and every term of degree 2 in the center variables
+    is added, divided by the two scales, into its entry (doubled on the
+    diagonal). None when a generator is not of that shape, two share a
+    variable, or a term has degree below 2 in the center variables."""
+    ring = f.ring
+    pieces = []
+    for g in center_gens:
+        used = g.variables_used()
+        if len(used) != 1:
+            return None
+        (name,) = used
+        if g.degree_in(name) != 1 or name in {n for n, _s, _c in pieces}:
+            return None
+        scale = g.terms[tuple(int(n == name) for n in ring.names)]
+        rest = g - ring.var(name) * scale
+        if not rest.is_constant():
+            return None
+        pieces.append((name, scale, rest.constant_value()))
+    shifted = f.substitute(
+        {name: ring.var(name) - Fraction(shift, scale) for name, scale, shift in pieces},
+        ring,
+    )
+    indices = [ring.index(name) for name, _s, _c in pieces]
+    scales = [scale for _n, scale, _c in pieces]
+    m = len(pieces)
+    matrix = [[ring.zero() for _ in range(m)] for _ in range(m)]
+    for e, c in shifted.terms.items():
+        wdeg = sum(e[i] for i in indices)
+        if wdeg < 2:
+            return None
+        if wdeg > 2:
+            continue
+        rest = list(e)
+        for i in indices:
+            rest[i] = 0
+        coeff = Polynomial(ring, {tuple(rest): c})
+        positions = [k for k, i in enumerate(indices) if e[i] > 0]
+        if len(positions) == 1:
+            k = positions[0]
+            matrix[k][k] = matrix[k][k] + coeff * (Fraction(2) / (scales[k] * scales[k]))
+        else:
+            k, l = positions
+            entry = coeff * (Fraction(1) / (scales[k] * scales[l]))
+            matrix[k][l] = matrix[k][l] + entry
+            matrix[l][k] = matrix[l][k] + entry
+    return matrix
+
+
+def random_polynomial(rng, ring, degree, names=None):
+    """One to four terms of total degree at most degree in names (every
+    variable of ring when None), with small rational coefficients."""
+    names = ring.names if names is None else names
+    out = ring.zero()
+    for _ in range(rng.randint(1, 4)):
+        term = ring.const(rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 5))))
+        for _ in range(rng.randint(0, degree)):
+            term = term * ring.var(rng.choice(names))
+        out = out + term
+    return out
+
+
+def test_center_quadratic_form_matches_the_term_by_term_reference():
+    # coordinate-like centers with fractional shifts and scales; f in the
+    # square of the center ideal gives the same matrix both ways, and f
+    # plus a term of degree 0 or 1 in the center variables gives None
+    rng = random.Random("quadratic-form")
+    numbers = (1, -1, 2, -3, Fraction(1, 3), Fraction(-3, 2), Fraction(5, 7))
+    in_square = outside = 0
+    for _ in range(60):
+        names = rng.sample(R4.names, rng.randint(1, 3))
+        others = [n for n in R4.names if n not in names]
+        gens = tuple(
+            R4.var(n) * rng.choice(numbers) + rng.choice((0,) + numbers) for n in names
+        )
+        f = R4.zero()
+        for k in range(len(gens)):
+            for l in range(k, len(gens)):
+                if rng.random() < 0.7:
+                    f = f + gens[k] * gens[l] * random_polynomial(rng, R4, 1)
+        if rng.random() < 0.5:
+            f = f + gens[0] ** 3 * random_polynomial(rng, R4, 1)
+        want = reference_center_quadratic_form(f, gens)
+        assert want is not None or f.is_zero()
+        assert center_quadratic_form(f, gens) == want
+        in_square += want is not None
+        k = rng.randrange(len(gens))
+        low = random_polynomial(rng, R4, 1, others) if others else R4.const(rng.choice(numbers))
+        if rng.random() < 0.5:
+            low = low * gens[k]
+        g = f + low
+        assert reference_center_quadratic_form(g, gens) is None, (g, gens)
+        assert center_quadratic_form(g, gens) is None, (g, gens)
+        outside += 1
+    assert in_square >= 50 and outside == 60
 
 
 def test_projective_rational_points():

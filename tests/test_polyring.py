@@ -100,6 +100,16 @@ def test_exact_div_rejects_inexact():
         R.parse("x^2 + y").exact_div(R.parse("x"))
 
 
+def test_strip_powers_divides_out_the_highest_power():
+    x = R.var("x")
+    assert ((x + 1) ** 3 * (x - 1)).strip_powers(x + 1) == (x - 1, 3)
+    assert ((x + 1) ** 3 * (x - 1)).strip_powers(x - 1) == ((x + 1) ** 3, 1)
+    # x divides the leading monomial x^2, but x + 2 does not divide x^2 + 1
+    assert (x**2 + 1).strip_powers(x + 2) == (x**2 + 1, 0)
+    with pytest.raises(ValueError):
+        (x**2).strip_powers(R.const(2))
+
+
 def test_ring_mismatch_is_detected():
     other = PolynomialRing(("x", "y"))
     with pytest.raises(RingMismatchError):

@@ -43,6 +43,13 @@ class TestSplitComponents:
         assert len(parts) == 1
         assert same_variety(parts[0], Ideal(ring, (ring.var("x"),)))
 
+    def test_keeps_one_piece_per_zero_set(self):
+        # both branches, (x - y; x^3) and (y - x^2; x^3), are the origin
+        ring = PolynomialRing(("x", "y"))
+        parts = split_components(Ideal.parse(ring, "(x - y)*(y - x^2); x^3"))
+        assert len(parts) == 1
+        assert same_variety(parts[0], Ideal.parse(ring, "x; y"))
+
 
 class TestConeStratification:
     def test_coarse(self):
