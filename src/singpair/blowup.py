@@ -30,12 +30,32 @@ from .polyring import Polynomial, PolynomialRing
 
 @dataclass(frozen=True)
 class LineageStep:
-    """What one blowup step did to one chart."""
+    """What one blowup step did to one chart.
+
+    center is the reduced basis of the step's center on the parent chart,
+    the chart the step started from; every pivot chart of the step shares
+    it. It decides once for all of them whether a transported ideal I
+    misses the center, that is, whether J + (e) is the unit ideal on a
+    pivot chart, for J the pull-back of I with the graph relations and e
+    the exceptional. The two questions have the same answer:
+
+    - if I + C is the unit ideal on the parent, so is J + (e): a solved
+      center generator becomes a unit times e, and an unsolved one g_j
+      keeps its graph relation g_j - r_j*e, so J + (e) contains the
+      pull-back of I + C;
+    - if some point p lies in V(I) and V(C), its fiber in every pivot
+      chart is the whole affine space of the ratio coordinates, on which
+      J and e vanish, so J + (e) is not the unit ideal.
+
+    Passenger variables change neither argument (Fulton, Intersection
+    Theory, App. B.6).
+    """
 
     ring: PolynomialRing
     substitution: tuple[tuple[str, Polynomial], ...]  # eliminated variable -> value
     graph: tuple[Polynomial, ...]  # relations kept for unsolvable generators
     exceptional: Polynomial | None  # None for a pass-through step
+    center: tuple[Polynomial, ...]  # () for a pass-through step
 
     def substitution_map(self) -> dict[str, Polynomial]:
         return dict(self.substitution)
@@ -146,7 +166,17 @@ def _transform_step(step: LineageStep, extra: tuple[str, ...], current: Ideal) -
     move = {k: v.in_ring(target) for k, v in step.substitution_map().items()}
     moved = tuple(g.substitute(move, target) for g in current.gens)
     moved += tuple(g.in_ring(target) for g in step.graph)
-    return Ideal(target, moved).saturate(step.exceptional.in_ring(target))
+    key = ("misses", step.center, current.ring, current.gens)
+    return Ideal(target, moved).saturate(
+        step.exceptional.in_ring(target),
+        misses=lambda: remembered(key, _misses, current, step.center),
+    )
+
+
+def _misses(current: Ideal, center: tuple[Polynomial, ...]) -> bool:
+    """Whether current + center is the unit ideal on the parent chart's
+    ring (with current's passengers): see LineageStep."""
+    return current.plus(g.in_ring(current.ring) for g in center).is_trivial()
 
 
 def _ratio_name(base: str, taken: set[str]) -> str:
@@ -227,6 +257,7 @@ def _pivot_chart(
         substitution=tuple(sorted(subs.items())),
         graph=graph_new,
         exceptional=exceptional,
+        center=center,
     )
     return Chart(
         name=f"{leaf.name}/{label}p{pivot}",
@@ -242,7 +273,9 @@ def _pivot_chart(
 
 
 def _pass_through(leaf: Chart) -> Chart:
-    step = LineageStep(ring=leaf.ring, substitution=(), graph=(), exceptional=None)
+    step = LineageStep(
+        ring=leaf.ring, substitution=(), graph=(), exceptional=None, center=()
+    )
     return replace(leaf, lineage=leaf.lineage + (step,), parent=leaf)
 
 

@@ -268,13 +268,16 @@ def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
         multiplicities = [1] * len(pieces)  # the ideal is its own radical
     else:
         multiplicities = _multiplicities(ideal, form, pieces)
+    if len(pieces) == 1:
+        primes = [Ideal._of_basis(ring, rad.groebner())]  # rad is the one prime
+    else:
+        primes = [
+            Ideal(ring, rad.plus([piece.substitute({uname: form}, ring)]).groebner())
+            for piece in pieces
+        ]
     components = [
-        _component(
-            Ideal(ring, rad.plus([piece.substitute({uname: form}, ring)]).groebner()),
-            multiplicity,
-            piece.total_degree(),
-        )
-        for piece, multiplicity in zip(pieces, multiplicities)
+        _component(prime, multiplicity, piece.total_degree())
+        for prime, piece, multiplicity in zip(primes, pieces, multiplicities)
     ]
     if sum(c.local_length for c in components) != total:
         raise AssertionError("lengths do not add up")
@@ -347,6 +350,8 @@ def singular_locus(relations: Ideal) -> Ideal:
         return Ideal(ring, (ring.one(),))
     jac = jacobian(gens, ring)
     mins = minors(jac, codim, ring)
+    if any(m.is_constant() for m in mins):
+        return Ideal(ring, (ring.one(),))  # a nonzero constant minor: smooth
     return relations.plus(mins)
 
 

@@ -633,7 +633,9 @@ class Ideal:
         inter = self.intersect(Ideal(self.ring, (f,)))
         return Ideal(self.ring, tuple(g.exact_div(f) for g in inter.groebner()))
 
-    def saturate(self, f: Polynomial) -> "Ideal":
+    def saturate(
+        self, f: Polynomial, *, misses: Callable[[], bool] | None = None
+    ) -> "Ideal":
         """The saturation self : f^infinity, generated by its reduced grevlex
         basis (cached when the ring's order is grevlex).
 
@@ -647,7 +649,20 @@ class Ideal:
           grevlex basis: then lm(f) is a nonzerodivisor on the initial
           ideal, and so f is one on J (Eisenbud, Commutative Algebra,
           ch. 15);
-        - J + (f) is the unit ideal.
+        - J + (f) is the unit ideal. When misses is given, its answer,
+          whether self + (f) is the unit ideal, is used instead: J + (f)
+          contains self + (f), so True certifies, and False leaves the
+          saturation to the elimination below, whose answer is the same.
+          A blowup step passes an answer computed once on its parent
+          chart and shared by all its pivot charts. There self is the
+          pull-back of an ideal I plus the graph relations and f the
+          exceptional e, and self + (e) is the unit ideal exactly when
+          I + C is, for C the center: self + (e) contains the pull-back
+          of I + C, since each center generator becomes a unit times e
+          or keeps its graph relation g - r*e; and a common zero of I
+          and C has its whole fiber, every value of the ratio
+          coordinates, in the zero set of self + (e) (see
+          blowup.LineageStep).
 
         Otherwise the saturation is the elimination of t from J + (1 - t*f)
         (Rabinowitsch), started from J's reduced basis; for f of higher
@@ -667,7 +682,7 @@ class Ideal:
             stripped = Ideal(
                 grevlex, (g.in_ring(grevlex).strip_powers(linear)[0] for g in self.gens)
             )
-            if _nonzerodivisor_modulo(linear, stripped):
+            if _nonzerodivisor_modulo(linear, stripped, misses):
                 basis = stripped.groebner()
             else:
                 basis = _rabinowitsch(Ideal(grevlex, stripped.groebner()), linear).gens
@@ -754,16 +769,21 @@ class Ideal:
         ]
 
 
-def _nonzerodivisor_modulo(f: Polynomial, ideal: Ideal) -> bool:
+def _nonzerodivisor_modulo(
+    f: Polynomial, ideal: Ideal, misses: Callable[[], bool] | None
+) -> bool:
     """Whether one of Ideal.saturate's certificates shows that f, of total
     degree 1, no power of which divides a generator, is a nonzerodivisor
     modulo the ideal. The ring's order is grevlex. False means no
-    certificate applies, not that f is a zerodivisor."""
+    certificate applies, not that f is a zerodivisor. misses, when given,
+    answers the last certificate in place of the unit test."""
     if len(ideal.gens) <= 1:
         return True
     i = f.leading_monomial().index(1)
     if not any(g.leading_monomial()[i] for g in ideal.groebner()):
         return True
+    if misses is not None:
+        return misses()
     return ideal.plus([f]).is_trivial()
 
 

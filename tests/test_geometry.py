@@ -18,7 +18,7 @@ from singpair.geometry import (
     singular_locus,
     zero_dim_decompose,
 )
-from singpair.ideals import Ideal, fresh_name
+from singpair.ideals import Ideal, fresh_name, reduction_budget
 from singpair.polyring import MonomialOrder, Polynomial, PolynomialRing
 
 
@@ -95,6 +95,15 @@ def test_singular_locus_of_cone():
 def test_smooth_hypersurface():
     assert is_smooth(Ideal.parse(R3, "x^2 + y^2 + z + 1"))
     assert is_smooth(Ideal(R3))  # the whole space
+
+
+def test_a_constant_jacobian_minor_answers_smooth_without_a_basis():
+    # d/dt = 1 on the chart relation xp^2 - yp^2 + t: the chart is smooth,
+    # and no basis of the relations plus the minors is computed
+    ring = PolynomialRing(("xp", "yp", "t"))
+    with reduction_budget(10**6) as meter:
+        assert singular_locus(Ideal.parse(ring, "xp^2 - yp^2 + t")).is_trivial()
+    assert meter.used == 0
 
 
 def test_center_quadratic_form_of_cone():
@@ -392,6 +401,29 @@ def test_decomposition_matches_the_elimination_reference():
         assert got == reference_components(ideal), ideal
         sizes.append(ideal.vector_space_dimension())
     assert sum(size >= 30 for size in sizes) >= 3
+
+
+def test_one_point_components_match_the_rad_plus_reference():
+    # a scheme on one point, rational or one Galois orbit, has a separating
+    # eliminant with one factor, and its prime is the radical itself; the
+    # four points over x^2 = 3, y^2 = 9 are two orbits
+    rng = random.Random("one-point")
+    single = 0
+    for _ in range(16):
+        ideal = random_component(rng, R2)
+        got = [(c.prime.groebner(), c.multiplicity, c.residue_degree)
+               for c in zero_dim_decompose(ideal)]
+        assert got == reference_components(ideal), ideal
+        single += len(got) == 1
+    assert single >= 12
+    for _ in range(8):
+        a, b, d = (rng.randint(-3, 3) for _ in range(3))
+        x, y, z = R3.gens()
+        ideal = Ideal(R3, ((x - a) ** rng.randint(1, 3), y - b - (x - a) * rng.randint(-2, 2),
+                           (z - d) ** rng.randint(1, 2) - (x - a) * rng.randint(0, 1)))
+        (c,) = zero_dim_decompose(ideal)
+        assert [(c.prime.groebner(), c.multiplicity, c.residue_degree)] == reference_components(ideal)
+        assert c.point == {"x": a, "y": b, "z": d}
 
 
 def test_eliminants_match_the_elimination_reference():

@@ -563,6 +563,22 @@ class TestTransformMemo:
         assert inside == outside
         assert steps == [first.lineage[0], first.lineage[1], second.lineage[1]]
 
+    def test_sibling_charts_share_one_miss_answer(self, monkeypatch):
+        # the point (2, 3) misses both centers; on every chart its transform
+        # has two generators and the exceptional's leading variable in its
+        # basis, so each step asks whether it misses the step's center: once
+        # per parent chart inside the memo, once per pivot chart outside
+        first, second, line = self.siblings()
+        point = Ideal.parse(line.ring, "x - 2; y - 3")
+        misses = _counting(monkeypatch, blowup, "_misses")
+        outside = [proper_transform(c, point) for c in (first, second)]
+        assert len(misses) == 4
+        misses.clear()
+        with ideals.groebner_memo():
+            inside = [proper_transform(c, point) for c in (first, second)]
+        assert inside == outside
+        assert [current.ring for current in misses] == [line.ring, first.parent.ring]
+
     def test_a_step_that_runs_out_of_budget_stores_nothing(self):
         first, _, line = self.siblings()
         # the same line cut by two equations: a principal cycle's strict
@@ -581,6 +597,33 @@ class TestTransformMemo:
                 remembered = proper_transform(first, cycle)
             assert retried == outside and again.used > 0
             assert remembered is retried and stored.used == 0
+
+
+def test_parent_miss_answer_matches_the_chart_unit_test(monkeypatch):
+    # over every strict-transform step the bundled scenarios take, whether
+    # the transported ideal plus the center is the unit ideal on the parent
+    # chart, the answer a step's pivot charts share, is whether the pulled
+    # back ideal plus the exceptional is the unit ideal on the pivot chart
+    transform_step = blowup._transform_step
+    seen = []
+
+    def recording(step, extra, current):
+        seen.append((step, extra, current))
+        return transform_step(step, extra, current)
+
+    monkeypatch.setattr(blowup, "_transform_step", recording)
+    for path in sorted(CORPUS.glob("*.scn")):
+        assert exit_code(run_tasks(parse_scenario(path), Flags())) == 0, path.name
+    answers = Counter()
+    for step, extra, current in seen:
+        target = PolynomialRing(step.ring.names + extra)
+        move = {k: v.in_ring(target) for k, v in step.substitution}
+        moved = [g.substitute(move, target) for g in current.gens]
+        moved += [g.in_ring(target) for g in step.graph]
+        on_chart = Ideal(target, moved).plus([step.exceptional.in_ring(target)]).is_trivial()
+        assert blowup._misses(current, step.center) == on_chart, (step, current)
+        answers[on_chart] += 1
+    assert answers[True] >= 50 and answers[False] >= 40, answers
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_reports.json"
