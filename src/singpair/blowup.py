@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import CenterError
+from .errors import CenterError, CompleteIntersectionError
 from .geometry import dehomogenize, singular_locus
 from .ideals import Ideal, fresh_name, remembered
 from .polyring import Polynomial, PolynomialRing
@@ -190,13 +190,14 @@ def _pivot_chart(
     leaf: Chart, center: tuple[Polynomial, ...], pivot: int, label: str
 ) -> Chart:
     ring = leaf.ring
-    gens = [g for g in center]
+    # generators still to be read: a solved one is dropped once solved
+    gens = dict(enumerate(center))
     subs: dict[str, Polynomial] = {}
     ratio: dict[int, Polynomial] = {}
     protected: set[str] = set()
     unsolved: list[int] = []
 
-    for j in range(len(gens)):
+    for j in range(len(center)):
         if j == pivot:
             continue
         g = gens[j]
@@ -225,7 +226,8 @@ def _pivot_chart(
             Fraction(1) / c
         )
         move = {vname: value}
-        gens = [p.substitute(move, new_ring) for p in gens]
+        del gens[j]
+        gens = {k: p.substitute(move, new_ring) for k, p in gens.items()}
         subs = {k: v.substitute(move, new_ring) for k, v in subs.items()}
         ratio = {k: v.in_ring(new_ring) for k, v in ratio.items()}
         subs[vname] = value
@@ -236,7 +238,7 @@ def _pivot_chart(
     for j in unsolved:
         rname = fresh_name(set(ring.names) | protected, f"r{label.lstrip('s')}_{j}")
         new_ring = PolynomialRing(ring.names + (rname,), ring.order)
-        gens = [p.in_ring(new_ring) for p in gens]
+        gens = {k: p.in_ring(new_ring) for k, p in gens.items()}
         subs = {k: v.in_ring(new_ring) for k, v in subs.items()}
         ratio = {k: v.in_ring(new_ring) for k, v in ratio.items()}
         ratio[j] = new_ring.var(rname)
@@ -277,6 +279,46 @@ def _pass_through(leaf: Chart) -> Chart:
         ring=leaf.ring, substitution=(), graph=(), exceptional=None, center=()
     )
     return replace(leaf, lineage=leaf.lineage + (step,), parent=leaf)
+
+
+def _smooth(chart: Chart, verdicts: dict[int, bool], traces: dict[int, bool]) -> bool:
+    """Whether chart is smooth, by the rule of ResolutionTower.all_smooth;
+    verdicts and traces keep the answers of the charts already decided.
+    A chart whose own Jacobian test raises CompleteIntersectionError
+    raises it here too, unless the rule has shown it smooth."""
+    key = id(chart)
+    if key in verdicts:
+        return verdicts[key]
+    parent = chart.parent
+    if parent is None:
+        verdict = singular_locus(chart.relations).is_trivial()
+    elif chart.lineage[-1].exceptional is None:
+        verdict = _smooth(parent, verdicts, traces)
+    else:
+        try:
+            shown = _smooth(parent, verdicts, traces) and _smooth_trace(
+                parent, chart.lineage[-1].center, traces
+            )
+        except CompleteIntersectionError:
+            shown = False  # the parent's own Jacobian test raised
+        verdict = shown or singular_locus(chart.relations).is_trivial()
+    verdicts[key] = verdict
+    return verdict
+
+
+def _smooth_trace(
+    parent: Chart, center: tuple[Polynomial, ...], traces: dict[int, bool]
+) -> bool:
+    """Whether the center meets the parent chart in a smooth complete
+    intersection, by the Jacobian criterion; False when it is no complete
+    intersection."""
+    key = id(parent)
+    if key not in traces:
+        try:
+            traces[key] = singular_locus(parent.relations.plus(center)).is_trivial()
+        except CompleteIntersectionError:
+            traces[key] = False
+    return traces[key]
 
 
 class ResolutionTower:
@@ -381,9 +423,25 @@ class ResolutionTower:
         return [c for c in self.leaves if not c.is_empty()]
 
     def all_smooth(self) -> bool:
-        return all(
-            singular_locus(c.relations).is_trivial() for c in self.nonempty_leaves()
-        )
+        """Whether every nonempty leaf chart is smooth.
+
+        A pivot chart's relations are the blowup of its parent chart along
+        the trace of the step's center on it, the parent's relations plus
+        LineageStep.center (Fulton, Intersection Theory, B.6.9), and the
+        blowup of a smooth variety along a smooth center is smooth
+        (Hartshorne, Algebraic Geometry, II.8.24). So a pivot chart is
+        smooth when its parent is and the Jacobian criterion finds that
+        trace smooth, asked once per parent for all its pivot charts; a
+        pass-through chart has its parent's relations and verdict. A
+        starting chart, and a chart whose parent or trace is not shown
+        smooth (a trace that is no complete intersection included), is
+        decided by the Jacobian criterion on its own relations. The rule
+        only ever shows a chart smooth, so the answer is the one that
+        testing every leaf on its own relations gives.
+        """
+        verdicts: dict[int, bool] = {}  # id of a chart -> it is smooth
+        traces: dict[int, bool] = {}  # id of a parent chart -> its trace is smooth
+        return all(_smooth(c, verdicts, traces) for c in self.nonempty_leaves())
 
     def audit(self) -> dict:
         """Structural invariants; informative, not fatal.

@@ -355,10 +355,6 @@ def singular_locus(relations: Ideal) -> Ideal:
     return relations.plus(mins)
 
 
-def is_smooth(relations: Ideal) -> bool:
-    return singular_locus(relations).is_trivial()
-
-
 # -- quadratic form along a center ---------------------------------------------
 
 

@@ -15,7 +15,6 @@ from singpair.cycles import Cycle, CycleFamily, Perversity
 from singpair.factor import factor, is_irreducible
 from singpair.geometry import (
     center_quadratic_form,
-    is_smooth,
     projective_rational_points,
     quadric_rank_drop,
     singular_locus,
@@ -77,7 +76,7 @@ def test_criterion_01_resolution_charts_smooth():
     assert len(leaves) == 3
     assert sorted(c.name for c in leaves) == ["aff/s1p0", "aff/s1p1", "aff/s1p2"]
     for chart in leaves:
-        assert is_smooth(chart.relations)
+        assert singular_locus(chart.relations).is_trivial()
     verdict(1, "blowup of the cone line yields 3 charts, each smooth")
 
 

@@ -305,12 +305,13 @@ def test_centers_move_up_as_the_one_shot_reference(case):
 
 def reference_audit(tower):
     """The audit before centers settled their exceptionals: the blowdown
-    image of every exceptional on every nonempty leaf, each one tested."""
+    image of every exceptional on every nonempty leaf, each one tested,
+    and the Jacobian test on every nonempty leaf's own relations."""
     report = {
         "leaves": len(tower.leaves),
         "nonempty_leaves": len(tower.nonempty_leaves()),
         "steps": len(tower.steps),
-        "all_charts_smooth": tower.all_smooth(),
+        "all_charts_smooth": reference_all_smooth(tower),
     }
     if not tower.projective:
         base = Ideal(tower.input_ring, tower.input_relations)
@@ -386,10 +387,7 @@ def test_audit_images_only_exceptionals_its_centers_leave_open(monkeypatch):
 def test_passenger_variables_ride_along_as_under_substitution(monkeypatch):
     # a family parameter rides up every chart of a two-step tower; in_ring's
     # cached moves give the ideals that substitution into the target gives
-    ring = PolynomialRing(("x", "y"))
-    tower = ResolutionTower.affine(ring, ())
-    tower.blow_up((ring.parse("x"), ring.parse("y")))
-    tower.blow_up((ring.parse("x"), ring.parse("y - 1")))
+    tower = hand_tower(("x", "y"), "", "x; y", "x; y - 1")[-1]
     family = Ideal.parse(PolynomialRing(("x", "y", "l")), "x - l*y^2; x^2 + l*y - 1/2*l^2")
     got = [proper_transform(c, family, ("l",)) for c in tower.leaves]
 
@@ -401,3 +399,98 @@ def test_passenger_variables_ride_along_as_under_substitution(monkeypatch):
     assert [i.ring for i in got] == [i.ring for i in want]
     assert [i.gens for i in got] == [i.gens for i in want]
     assert all("l" in i.ring.names for i in got)
+
+
+def reference_all_smooth(tower):
+    """The Jacobian criterion on every nonempty leaf's own relations."""
+    return all(singular_locus(c.relations).is_trivial() for c in tower.nonempty_leaves())
+
+
+def projective_towers():
+    case = TestProjectiveTower()
+    space = ResolutionTower.projective(case.RING, ())
+    lines = [(case.RING.var("X"), case.RING.var("Y"), case.RING.var("Z")),
+             (case.RING.parse("X + Y"), case.RING.var("S"), case.RING.var("Z")),
+             (case.RING.parse("X - Y"), case.RING.var("S"), case.RING.var("Z"))]
+    return grown(case.fresh(), lines) + grown(space, lines[:1])
+
+
+def nodal_towers():
+    tower, ring = TestSecondStep().nodal_tower()
+    return grown(tower, [(ring.parse("y^2 - x^3 - x^2"), ring.var("w"))])
+
+
+SMOOTHNESS_CASES = {
+    **TRANSFORM_CASES,
+    "cone": lambda: [cone_tower()],
+    "plane": lambda: [TestSmoothPlane().plane_tower()],
+    "nodal_second_step": nodal_towers,
+    "projective": projective_towers,
+    "plane_two_steps": lambda: hand_tower(("x", "y"), "", "x; y", "x; y - 1"),
+    "umbrella_then_smooth_point": umbrella_then_smooth_point,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMOOTHNESS_CASES))
+def test_all_smooth_matches_the_per_leaf_reference(case):
+    # every bundled scenario's towers and every tower built in this file,
+    # prefixes included: the rule decides as the per-leaf test does
+    for tower in SMOOTHNESS_CASES[case]():
+        assert tower.all_smooth() == reference_all_smooth(tower), (case, len(tower.steps))
+
+
+def jacobian_inputs(monkeypatch, tower):
+    """all_smooth's answer and the ideals it handed to the Jacobian test."""
+    seen = []
+    original = blowup.singular_locus
+
+    def recording(relations):
+        seen.append(relations)
+        return original(relations)
+
+    monkeypatch.setattr(blowup, "singular_locus", recording)
+    return tower.all_smooth(), seen
+
+
+def own_tests(tower, seen):
+    """The nonempty leaves whose own relations were tested."""
+    return [c.name for c in tower.nonempty_leaves() if any(r is c.relations for r in seen)]
+
+
+def test_smooth_parents_and_traces_show_the_charts_smooth(monkeypatch):
+    # the plane and tower_extension's step-1 charts are smooth, and so are
+    # the traces of the next center on them: no leaf is tested itself
+    plane = TestSmoothPlane().plane_tower()
+    smooth, seen = jacobian_inputs(monkeypatch, plane)
+    assert smooth and len(seen) == 2 and own_tests(plane, seen) == []
+    tower = corpus_prefixes("tower_extension")[-1]
+    smooth, seen = jacobian_inputs(monkeypatch, tower)
+    # the input chart, its three pivot charts and three traces of the
+    # point, where the per-leaf test takes twelve
+    assert smooth and len(seen) == 7 and len(tower.nonempty_leaves()) == 12
+    assert own_tests(tower, seen) == []
+    first_child = {}
+    for c in tower.leaves:
+        first_child.setdefault(id(c.parent), c)
+    assert len(first_child) == 3
+    for k, c in enumerate(first_child.values()):
+        assert seen[0] is c.parent.parent.relations
+        assert seen[1 + 2 * k] is c.parent.relations
+        assert seen[2 + 2 * k].gens == c.parent.relations.plus(c.lineage[-1].center).gens
+
+
+def test_charts_over_a_singular_parent_are_tested_themselves(monkeypatch):
+    # the cone and the projective closure are singular before their first
+    # step, so every chart of that step is decided by its own Jacobian
+    cone = cone_tower()
+    smooth, seen = jacobian_inputs(monkeypatch, cone)
+    assert smooth and len(seen) == 4
+    assert own_tests(cone, seen) == [c.name for c in cone.nonempty_leaves()]
+    case = TestProjectiveTower()
+    tower = grown(case.fresh(), [(case.RING.var("X"), case.RING.var("Y"), case.RING.var("Z"))])[-1]
+    smooth, seen = jacobian_inputs(monkeypatch, tower)
+    assert not smooth
+    # every leaf up to the first singular one, on the patch T = 1
+    names = [c.name for c in tower.nonempty_leaves()]
+    (first,) = [c.name for c in tower.leaves if c.relations is seen[-1]]
+    assert first.startswith("T=1/") and own_tests(tower, seen) == names[: names.index(first) + 1]

@@ -10,7 +10,6 @@ from singpair.geometry import (
     _eliminant,
     center_quadratic_form,
     dehomogenize,
-    is_smooth,
     projective_rational_points,
     quadric_rank_drop,
     rational_points,
@@ -89,12 +88,12 @@ def test_singular_locus_of_cone():
     sing = singular_locus(X)
     line = Ideal.parse(R4, "x; y; z")
     assert sing.variety_contained_in(line) and line.variety_contained_in(sing)
-    assert not is_smooth(X)
+    assert not singular_locus(X).is_trivial()
 
 
 def test_smooth_hypersurface():
-    assert is_smooth(Ideal.parse(R3, "x^2 + y^2 + z + 1"))
-    assert is_smooth(Ideal(R3))  # the whole space
+    assert singular_locus(Ideal.parse(R3, "x^2 + y^2 + z + 1")).is_trivial()
+    assert singular_locus(Ideal(R3)).is_trivial()  # the whole space
 
 
 def test_a_constant_jacobian_minor_answers_smooth_without_a_basis():
@@ -355,8 +354,9 @@ def product(ring, ideals):
 def random_component(rng, ring):
     """A point ideal in two variables: a fat point that is a power of a
     maximal ideal, a curvilinear one, a Galois orbit of two or three
-    conjugate points, or four conjugates no coordinate separates."""
-    x, y = ring.gens()
+    conjugate points, or four conjugates no coordinate separates. x and y
+    are bound by name, as ring.parse binds them, in either variable order."""
+    x, y = ring.var("x"), ring.var("y")
     a, b = rng.randint(-2, 2), rng.randint(-2, 2)
     kind = rng.randrange(4)
     if kind == 0:
@@ -379,6 +379,7 @@ def seeded_zero_dim_ideals():
     for k in range(24):
         ring = PolynomialRing(("x", "y") if k % 2 else ("y", "x"))
         parts = [random_component(rng, ring) for _ in range(rng.randint(1, 3))]
+        assert not any(part.is_trivial() for part in parts), k
         ideals.append(product(ring, parts))
     lex = PolynomialRing(("x", "y"), MonomialOrder.lex())
     ideals.append(Ideal.parse(lex, "(x^2 - 2)*(x - 1)^2; (y - x)^2"))
