@@ -573,7 +573,17 @@ class Ideal:
         return _rabinowitsch(Ideal(self.ring, self.groebner()), f).is_trivial()
 
     def variety_contained_in(self, other: "Ideal") -> bool:
-        """True when every common zero of self is a zero of other."""
+        """True when every common zero of self is a zero of other. A
+        nonempty V(self) of larger dimension than V(other), or with V(other)
+        empty, is refuted without a radical membership test."""
+        if other.ring != self.ring:
+            raise RingMismatchError("ideals live in different rings")
+        mine = self.dimension_or_none()
+        if mine is None:
+            return True
+        theirs = other.dimension_or_none()
+        if theirs is None or mine > theirs:
+            return False
         return all(self.radical_contains(g) for g in other.gens)
 
     # -- constructions -------------------------------------------------------
@@ -710,20 +720,17 @@ class Ideal:
         """Dimension of the vanishing locus in affine space.
 
         Raises EmptyVarietyError for the unit ideal. Computed from the
-        leading-monomial staircase: the largest variable subset touching no
-        leading monomial's support.
+        leading-monomial staircase: the largest variable subset containing
+        no leading monomial's support, whose complement is the smallest
+        subset that meets every support.
         """
         gb = self.groebner()
         if any(g.is_constant() for g in gb):
             raise EmptyVarietyError(f"{self!r} is the unit ideal")
-        supports = [frozenset(i for i, k in enumerate(g.leading_monomial()) if k) for g in gb]
-        n = self.ring.nvars
-        for size in range(n, -1, -1):
-            for subset in itertools.combinations(range(n), size):
-                chosen = set(subset)
-                if all(not s <= chosen for s in supports):
-                    return size
-        raise AssertionError("unreachable: the empty subset is always independent")
+        supports = {
+            sum(1 << i for i, k in enumerate(g.leading_monomial()) if k) for g in gb
+        }
+        return self.ring.nvars - _hitting_number(supports)
 
     def dimension_or_none(self) -> int | None:
         """Krull dimension, or None for the empty variety."""
@@ -767,6 +774,35 @@ class Ideal:
             for e in itertools.product(*(range(b) for b in bounds))
             if not any(exp_divides(lm, e) for lm in lms)
         ]
+
+
+def _hitting_number(supports: set[int]) -> int:
+    """The fewest bit positions that meet every mask in supports, none of
+    them 0. A set of positions meets every mask exactly when it meets every
+    minimal one, and it meets the smallest unmet mask in one of that mask's
+    bits, so a branch and bound on those bits over the minimal masks finds
+    the fewest; one position per minimal mask is the bound to start from."""
+    minimal: list[int] = []
+    for m in sorted(supports, key=int.bit_count):
+        if not any(k & m == k for k in minimal):
+            minimal.append(m)
+    best = len(minimal)
+
+    def search(unmet: list[int], size: int) -> None:
+        nonlocal best
+        if not unmet:
+            best = size
+            return
+        if size + 1 >= best:
+            return
+        bits = unmet[0]
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            search([m for m in unmet if not m & bit], size + 1)
+
+    search(minimal, 0)
+    return best
 
 
 def _nonzerodivisor_modulo(

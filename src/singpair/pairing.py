@@ -1,9 +1,13 @@
 """Intersection numbers through the tower, and audits of the induced pairing.
 
-Both cycles are moved to every chart by proper transform, intersected where
-the resolved space is smooth, and the resulting zero cycle is pushed back to
-the base with residue degree bookkeeping.  Ownership constraints keep each
-intersection point from being counted once per chart that sees it.
+Both cycles are moved to the leaf charts by proper transform, intersected
+where the resolved space is smooth, and the resulting zero cycle is pushed
+back to the base with residue degree bookkeeping.  Ownership constraints
+keep each intersection point from being counted once per chart that sees it.
+A leaf is skipped when the two transforms meet nowhere on a chart it was
+made from: a pivot chart's relations and transforms contain the pull-backs
+of its parent chart's, so its meet is empty too, and an empty meet gives no
+point and no error on any chart.
 
 The audit replays the pairing against every marked value of a family and
 reports whether the answers agree: on the nose, in degree only, or not at
@@ -39,9 +43,21 @@ from .strata import Stratification
 def transform_cycle(strat: Stratification, ideal: Ideal) -> dict[str, Ideal]:
     """Proper transform of a cycle on every chart where it survives.
 
-    A cycle inside a level 1 stratum would be erased by the saturation, so
-    that case is refused instead of silently dropped.
+    A cycle inside a level 1 stratum or inside a blowup center would be
+    erased by the saturation, so those cases are refused instead of
+    silently dropped.
     """
+    cyc = _transformable(strat, ideal)
+    out = {}
+    for chart in strat.tower.nonempty_leaves():
+        moved = proper_transform(chart, cyc)
+        if not moved.is_trivial():
+            out[chart.name] = moved
+    return out
+
+
+def _transformable(strat: Stratification, ideal: Ideal) -> Ideal:
+    """The cycle in the base ring, refused when its transform would vanish."""
     cyc = ideal.in_ring(strat.base_ring)
     for piece in strat.level(1):
         if cyc.variety_contained_in(piece):
@@ -55,12 +71,49 @@ def transform_cycle(strat: Stratification, ideal: Ideal) -> dict[str, Ideal]:
             raise ImproperIntersectionError(
                 f"cycle lies inside the center of blowup step {k}; its transform vanishes"
             )
-    out = {}
-    for chart in strat.tower.nonempty_leaves():
-        moved = proper_transform(chart, cyc)
-        if not moved.is_trivial():
-            out[chart.name] = moved
-    return out
+    return cyc
+
+
+def _meet(chart: Chart, left: Ideal, right: Ideal) -> Ideal:
+    # one generator order for the meets on leaves and on the charts above
+    # them, so that the run memo gives a prefix tower's leaf meets to the
+    # longer tower's pruning
+    return left.plus(right).plus(chart.relations)
+
+
+def _empty_meet_above(
+    chart: Chart, left: Ideal, right: Ideal, verdicts: dict[int, bool]
+) -> bool:
+    """Whether the proper transforms of left and right meet nowhere on
+    chart or on a chart it was made from. A pivot chart maps into its
+    parent chart, and its relations and both transforms contain the
+    pull-backs of the parent's (Fulton, Intersection Theory, App. B.6), so
+    an empty meet on the parent is an empty meet on the chart. A
+    pass-through chart has its parent's ring, relations and transforms.
+    verdicts keeps the answers by chart id."""
+    key = id(chart)
+    if key not in verdicts:
+        parent = chart.parent
+        if parent is not None and _empty_meet_above(parent, left, right, verdicts):
+            verdicts[key] = True
+        elif parent is not None and chart.lineage[-1].exceptional is None:
+            verdicts[key] = False
+        else:
+            moved = (proper_transform(chart, left), proper_transform(chart, right))
+            verdicts[key] = _meet(chart, *moved).is_trivial()
+    return verdicts[key]
+
+
+def _met_leaves(strat: Stratification, left: Ideal, right: Ideal) -> list[Chart]:
+    """The nonempty leaves below no chart where the transforms of the base
+    ideals left and right have an empty meet: the others have an empty
+    meet themselves."""
+    verdicts: dict[int, bool] = {}
+    return [
+        chart
+        for chart in strat.tower.nonempty_leaves()
+        if chart.parent is None or not _empty_meet_above(chart.parent, left, right, verdicts)
+    ]
 
 
 def _is_complete_intersection(ideal: Ideal) -> bool:
@@ -91,7 +144,7 @@ def intersect_on_chart(chart: Chart, left: Ideal, right: Ideal) -> list[PrimaryC
     inside the chart's coordinate ring of the resolved space.  The chart
     must be smooth at every intersection point.
     """
-    meet = left.plus(right).plus(chart.relations)
+    meet = _meet(chart, left, right)
     d = meet.dimension_or_none()
     if d is None:
         return []
@@ -200,13 +253,17 @@ def pair(
                 raise PerversityError(
                     f"cycle {cyc.name!r} violates perversity ({cyc.perversity})"
                 )
-    left = transform_cycle(strat, a.ideal)
-    right = transform_cycle(strat, b.ideal)
+    left = _transformable(strat, a.ideal)
+    right = _transformable(strat, b.ideal)
     chart_components = {}
-    for chart in strat.tower.nonempty_leaves():
-        if chart.name not in left or chart.name not in right:
+    for chart in _met_leaves(strat, left, right):
+        moved_left = proper_transform(chart, left)
+        if moved_left.is_trivial():
             continue
-        components = intersect_on_chart(chart, left[chart.name], right[chart.name])
+        moved_right = proper_transform(chart, right)
+        if moved_right.is_trivial():
+            continue
+        components = intersect_on_chart(chart, moved_left, moved_right)
         if components:
             chart_components[chart.name] = components
     pushed = pushforward(strat, chart_components)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -136,6 +137,58 @@ def test_krull_dimension():
     with pytest.raises(EmptyVarietyError):
         Ideal.parse(R4, "x; x + 1").krull_dimension()
     assert Ideal.parse(R4, "x; x + 1").dimension_or_none() is None
+
+
+def reference_krull_dimension(ideal):
+    """The largest variable subset containing no leading monomial's
+    support, found by trying every subset, largest first."""
+    supports = [{i for i, k in enumerate(g.leading_monomial()) if k} for g in ideal.groebner()]
+    n = ideal.ring.nvars
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+
+
+def test_krull_dimension_matches_subset_enumeration():
+    # monomial ideals are their own reduced bases, so random monomials give
+    # random staircases, with supports nested in one another among them
+    rng = random.Random("krull")
+    dims = set()
+    for _ in range(300):
+        ring = PolynomialRing(tuple(f"v{i}" for i in range(rng.randint(1, 8))))
+        monomials = []
+        for _ in range(rng.randint(0, 6)):
+            m = ring.one()
+            for v in rng.sample(ring.gens(), rng.randint(1, min(3, ring.nvars))):
+                m = m * v ** rng.randint(1, 2)
+            monomials.append(m)
+        ideal = Ideal(ring, monomials)
+        got = ideal.krull_dimension()
+        assert got == reference_krull_dimension(ideal), monomials
+        dims.add((ring.nvars, got))
+    assert len(dims) >= 25, dims
+
+
+def test_variety_containment_matches_radical_reference():
+    # the answers the dimension refutes, and those it leaves to radical
+    # membership, are the ones radical membership alone gives
+    rng = random.Random("containment")
+    ring = PolynomialRing(("a", "b", "c"))
+    seen = set()
+    for _ in range(80):
+        mine, other = (
+            Ideal(ring, [random_poly(rng, ring, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 3))])
+            for _ in range(2)
+        )
+        if rng.random() < 0.3:
+            other = Ideal(ring, mine.gens[: rng.randint(1, len(mine.gens))])
+        got = mine.variety_contained_in(other)
+        assert got == all(reference_radical_contains(mine, g) for g in other.gens)
+        d, e = mine.dimension_or_none(), other.dimension_or_none()
+        refuted = d is not None and (e is None or d > e)
+        seen.add((got, refuted))
+    assert seen == {(True, False), (False, False), (False, True)}, seen
 
 
 def test_vector_space_dimension():

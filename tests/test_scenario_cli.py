@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from singpair import blowup, ideals
+from singpair import blowup, ideals, pairing
 from singpair import factor as factor_module
 from singpair.blowup import ResolutionTower, proper_transform
 from singpair.cli import Flags, exit_code, main, run_tasks
-from singpair.errors import BudgetExceededError, ScenarioError
+from singpair.errors import BudgetExceededError, ImproperIntersectionError, ScenarioError
 from singpair.factor import factor
 from singpair.ideals import Ideal
+from singpair.pairing import intersect_on_chart, transform_cycle
 from singpair.polyring import Polynomial, PolynomialRing
 from singpair.scenario import Workspace, parse_scenario, validate_scenario
 
@@ -600,7 +601,8 @@ class TestTransformMemo:
 
 
 def test_parent_miss_answer_matches_the_chart_unit_test(monkeypatch):
-    # over every strict-transform step the bundled scenarios take, whether
+    # over every strict-transform step the bundled scenarios take, and those
+    # of every bundled cycle moved onto every tower of its scenario, whether
     # the transported ideal plus the center is the unit ideal on the parent
     # chart, the answer a step's pivot charts share, is whether the pulled
     # back ideal plus the exceptional is the unit ideal on the pivot chart
@@ -613,7 +615,17 @@ def test_parent_miss_answer_matches_the_chart_unit_test(monkeypatch):
 
     monkeypatch.setattr(blowup, "_transform_step", recording)
     for path in sorted(CORPUS.glob("*.scn")):
-        assert exit_code(run_tasks(parse_scenario(path), Flags())) == 0, path.name
+        scenario = parse_scenario(path)
+        assert exit_code(run_tasks(scenario, Flags())) == 0, path.name
+        ws = Workspace(scenario)
+        with ideals.groebner_memo():
+            for prefix in range(1, len(scenario.steps) + 1):
+                strat = ws.ad_hoc_strat(("images",), prefix=prefix)
+                for cycle in scenario.cycles.values():
+                    try:
+                        transform_cycle(strat, cycle.ideal)
+                    except ImproperIntersectionError:
+                        pass  # a cycle inside a center or a level 1 piece
     answers = Counter()
     for step, extra, current in seen:
         target = PolynomialRing(step.ring.names + extra)
@@ -624,6 +636,50 @@ def test_parent_miss_answer_matches_the_chart_unit_test(monkeypatch):
         assert blowup._misses(current, step.center) == on_chart, (step, current)
         answers[on_chart] += 1
     assert answers[True] >= 50 and answers[False] >= 40, answers
+
+
+def test_pair_skips_only_leaves_whose_meet_is_empty(monkeypatch):
+    # pair intersects only on the leaves below no chart where the proper
+    # transforms of its cycles meet nowhere. Over the pair, audit and
+    # compare-towers tasks of every bundled scenario, each leaf it skips has
+    # an empty meet when both cycles are moved onto it directly, and every
+    # report equals the one that intersecting on every nonempty leaf gives
+    met_leaves = pairing._met_leaves
+    skipped = []
+
+    def recording(strat, left, right):
+        kept = met_leaves(strat, left, right)
+        met = {id(c) for c in kept}
+        skipped.extend(
+            (strat, chart, left, right)
+            for chart in strat.tower.nonempty_leaves()
+            if id(chart) not in met
+        )
+        return kept
+
+    def every_leaf(strat, left, right):
+        return strat.tower.nonempty_leaves()
+
+    def rows(path):
+        report = run_tasks(parse_scenario(path), Flags())
+        return [(row["name"], row["status"], row["payload"]) for row in report["tasks"]]
+
+    skipped_by_scenario = {}
+    for path in sorted(CORPUS.glob("*.scn")):
+        monkeypatch.setattr(pairing, "_met_leaves", recording)
+        pruned = rows(path)
+        skipped_by_scenario[path.stem] = sorted({chart.name for _, chart, _, _ in skipped})
+        for strat, chart, left, right in skipped:
+            moved = [transform_cycle(strat, cycle).get(chart.name) for cycle in (left, right)]
+            if None not in moved:
+                assert moved[0].plus(moved[1]).plus(chart.relations).is_trivial(), chart.name
+                assert intersect_on_chart(chart, *moved) == []
+        skipped.clear()
+        monkeypatch.setattr(pairing, "_met_leaves", every_leaf)
+        assert pruned == rows(path), path.name
+    assert skipped_by_scenario["tower_extension"] == [
+        f"aff/s1p{i}/s2p{j}" for i in (1, 2) for j in range(4)
+    ]
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_reports.json"
