@@ -49,6 +49,15 @@ class LineageStep:
 
     Passenger variables change neither argument (Fulton, Intersection
     Theory, App. B.6).
+
+    pivot is the index in center of the generator whose pull-back is the
+    exceptional, and ratios maps each ratio variable of the step to the
+    index j of its center generator: on the pivot chart r_j is
+    center[j] / center[pivot], so center[j] - r_j * center[pivot] pulls
+    back into the chart's relations. Every chart variable that is no ratio
+    variable is a coordinate of the parent chart, so a point of the parent
+    chart where center[pivot] does not vanish has one preimage on the
+    chart: the same coordinates, and r_j = center[j] / center[pivot] there.
     """
 
     ring: PolynomialRing
@@ -56,6 +65,8 @@ class LineageStep:
     graph: tuple[Polynomial, ...]  # relations kept for unsolvable generators
     exceptional: Polynomial | None  # None for a pass-through step
     center: tuple[Polynomial, ...]  # () for a pass-through step
+    pivot: int | None = None  # None for a pass-through step
+    ratios: tuple[tuple[str, int], ...] = ()  # ratio variable -> center index
 
     def substitution_map(self) -> dict[str, Polynomial]:
         return dict(self.substitution)
@@ -166,17 +177,29 @@ def _transform_step(step: LineageStep, extra: tuple[str, ...], current: Ideal) -
     move = {k: v.in_ring(target) for k, v in step.substitution_map().items()}
     moved = tuple(g.substitute(move, target) for g in current.gens)
     moved += tuple(g.in_ring(target) for g in step.graph)
-    key = ("misses", step.center, current.ring, current.gens)
     return Ideal(target, moved).saturate(
-        step.exceptional.in_ring(target),
-        misses=lambda: remembered(key, _misses, current, step.center),
+        step.exceptional.in_ring(target), misses=lambda: _step_misses(step, current)
     )
+
+
+def _step_misses(step: LineageStep, current: Ideal) -> bool:
+    """_misses(current, step.center), asked once per run memo."""
+    key = ("misses", step.center, current.ring, current.gens)
+    return remembered(key, _misses, current, step.center)
 
 
 def _misses(current: Ideal, center: tuple[Polynomial, ...]) -> bool:
     """Whether current + center is the unit ideal on the parent chart's
     ring (with current's passengers): see LineageStep."""
     return current.plus(g.in_ring(current.ring) for g in center).is_trivial()
+
+
+def misses_center(chart: Chart, ideal: Ideal) -> bool:
+    """Whether the proper transform of an input-coordinate ideal to the
+    parent of a pivot chart misses the center of the step that made the
+    chart: the answer that the step's pivot charts share, from the run
+    memo when a strict transform already asked it."""
+    return _step_misses(chart.lineage[-1], proper_transform(chart.parent, ideal))
 
 
 def _ratio_name(base: str, taken: set[str]) -> str:
@@ -193,7 +216,7 @@ def _pivot_chart(
     # generators still to be read: a solved one is dropped once solved
     gens = dict(enumerate(center))
     subs: dict[str, Polynomial] = {}
-    ratio: dict[int, Polynomial] = {}
+    ratio: dict[int, str] = {}  # center index -> ratio variable
     protected: set[str] = set()
     unsolved: list[int] = []
 
@@ -229,10 +252,9 @@ def _pivot_chart(
         del gens[j]
         gens = {k: p.substitute(move, new_ring) for k, p in gens.items()}
         subs = {k: v.substitute(move, new_ring) for k, v in subs.items()}
-        ratio = {k: v.in_ring(new_ring) for k, v in ratio.items()}
         subs[vname] = value
         protected.add(uname)
-        ratio[j] = new_ring.var(uname)
+        ratio[j] = uname
         ring = new_ring
 
     for j in unsolved:
@@ -240,8 +262,7 @@ def _pivot_chart(
         new_ring = PolynomialRing(ring.names + (rname,), ring.order)
         gens = {k: p.in_ring(new_ring) for k, p in gens.items()}
         subs = {k: v.in_ring(new_ring) for k, v in subs.items()}
-        ratio = {k: v.in_ring(new_ring) for k, v in ratio.items()}
-        ratio[j] = new_ring.var(rname)
+        ratio[j] = rname
         protected.add(rname)
         ring = new_ring
 
@@ -249,17 +270,19 @@ def _pivot_chart(
         return p.substitute(subs, ring)
 
     exceptional = gens[pivot]
-    graph_new = tuple(gens[j] - ratio[j] * exceptional for j in unsolved)
+    graph_new = tuple(gens[j] - ring.var(ratio[j]) * exceptional for j in unsolved)
     total = [carry(g) for g in leaf.relations.gens]
     total.extend(graph_new)
     relations = Ideal(ring, tuple(total)).saturate(exceptional)
-    ownership_new = tuple(ratio[j] for j in sorted(ratio) if j < pivot)
+    ownership_new = tuple(ring.var(ratio[j]) for j in sorted(ratio) if j < pivot)
     step = LineageStep(
         ring=ring,
         substitution=tuple(sorted(subs.items())),
         graph=graph_new,
         exceptional=exceptional,
         center=center,
+        pivot=pivot,
+        ratios=tuple((ratio[j], j) for j in sorted(ratio)),
     )
     return Chart(
         name=f"{leaf.name}/{label}p{pivot}",

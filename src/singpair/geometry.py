@@ -236,6 +236,24 @@ def _component(prime: Ideal, multiplicity: int, degree: int) -> PrimaryComponent
     return PrimaryComponent(prime, multiplicity, degree, point)
 
 
+def point_component(
+    ring: PolynomialRing, point: dict[str, Scalar], multiplicity: int
+) -> PrimaryComponent:
+    """The component of a rational point of ring, coordinates by name in
+    the ring's order, with its prime given by the reduced basis
+    var - value, sorted as zero_dim_decompose sorts it."""
+    key = ring.order.sort_key
+    basis = sorted(
+        (ring.var(n) - v for n, v in point.items()), key=lambda g: key(g.leading_monomial())
+    )
+    return PrimaryComponent(Ideal._of_basis(ring, tuple(basis)), multiplicity, 1, point)
+
+
+def sort_components(components: list[PrimaryComponent]) -> list[PrimaryComponent]:
+    """Components in the order zero_dim_decompose returns them."""
+    return sorted(components, key=lambda c: (c.residue_degree, str(c.prime.groebner())))
+
+
 def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
     """Primary components of a zero-dimensional ideal.
 
@@ -281,8 +299,7 @@ def zero_dim_decompose(ideal: Ideal) -> list[PrimaryComponent]:
     ]
     if sum(c.local_length for c in components) != total:
         raise AssertionError("lengths do not add up")
-    components.sort(key=lambda c: (c.residue_degree, str(c.prime.groebner())))
-    return components
+    return sort_components(components)
 
 
 def rational_points(ideal: Ideal) -> list[dict[str, Scalar]]:

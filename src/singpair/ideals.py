@@ -48,7 +48,9 @@ values, never by object ids (an id is reused once its object is freed):
 - groebner() keys its nonzero generators, with their ring;
 - factor.factor() keys the polynomial;
 - blowup.proper_transform() keys each lineage step by the step, the
-  passenger names and the generators it moves.
+  passenger names and the generators it moves;
+- pairing keys each chart intersection by the chart's ring and relations
+  and the generators of the two transforms.
 
 A later request with an equal key gets the stored result and charges no
 step. The CLI opens one memo per scenario run, whose charts, tower

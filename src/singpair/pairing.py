@@ -9,6 +9,19 @@ made from: a pivot chart's relations and transforms contain the pull-backs
 of its parent chart's, so its meet is empty too, and an empty meet gives no
 point and no error on any chart.
 
+A blowup is an isomorphism off its center (Fulton, Intersection Theory,
+App. B.6). So when one transform misses a step's center on the parent
+chart, the two transforms meet on a pivot chart of the step exactly where
+they meet on the parent and the pivot generator does not vanish, with the
+same local rings. Such a chart takes the parent's rational points, moved
+to its coordinates, without Groebner work; the parent's own points are
+computed once per pairing, or carried from further up, and each chart
+intersection is kept in the run memo. A leaf whose parent has an
+irrational point, whose parent's intersection raises, or whose step's
+center both transforms meet, intersects on its own ring, and so raises the
+error it raises alone; a carried leaf with a point still runs the
+complete-intersection guard.
+
 The audit replays the pairing against every marked value of a family and
 reports whether the answers agree: on the nose, in degree only, or not at
 all.  A family that fails its perversity check is rejected outright.
@@ -19,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .blowup import Chart, blowdown_image, proper_transform
+from .blowup import Chart, blowdown_image, misses_center, proper_transform
 from .cycles import (
     Cycle,
     CycleFamily,
@@ -29,14 +42,23 @@ from .cycles import (
     weak_family_check,
 )
 from .errors import (
+    BudgetExceededError,
     ComplementarityError,
     CompleteIntersectionError,
     ImproperIntersectionError,
     PerversityError,
+    SingpairError,
     SmoothnessError,
 )
-from .geometry import PrimaryComponent, singular_locus, zero_dim_decompose
-from .ideals import Ideal
+from .geometry import (
+    PrimaryComponent,
+    point_component,
+    singular_locus,
+    sort_components,
+    zero_dim_decompose,
+)
+from .ideals import Ideal, remembered
+from .polyring import _quotient
 from .strata import Stratification
 
 
@@ -137,6 +159,14 @@ def _is_complete_intersection(ideal: Ideal) -> bool:
     return False
 
 
+def _require_complete_intersection(chart: Chart, left: Ideal, right: Ideal) -> None:
+    if not (_is_complete_intersection(left) or _is_complete_intersection(right)):
+        raise CompleteIntersectionError(
+            f"neither cycle on chart {chart.name} is cut by codimension many "
+            "equations; multiplicities would be unreliable"
+        )
+
+
 def intersect_on_chart(chart: Chart, left: Ideal, right: Ideal) -> list[PrimaryComponent]:
     """Zero-dimensional intersection of two transforms on one chart.
 
@@ -152,11 +182,7 @@ def intersect_on_chart(chart: Chart, left: Ideal, right: Ideal) -> list[PrimaryC
         raise ImproperIntersectionError(
             f"intersection on chart {chart.name} has dimension {d}, expected points"
         )
-    if not (_is_complete_intersection(left) or _is_complete_intersection(right)):
-        raise CompleteIntersectionError(
-            f"neither cycle on chart {chart.name} is cut by codimension many "
-            "equations; multiplicities would be unreliable"
-        )
+    _require_complete_intersection(chart, left, right)
     sing = singular_locus(chart.relations)
     components = zero_dim_decompose(meet)
     for pc in components:
@@ -167,6 +193,80 @@ def intersect_on_chart(chart: Chart, left: Ideal, right: Ideal) -> list[PrimaryC
                 f"intersection point on chart {chart.name} sits where the chart is singular"
             )
     return components
+
+
+def _intersect(chart: Chart, left: Ideal, right: Ideal) -> list[PrimaryComponent]:
+    """intersect_on_chart, once per run memo for equal charts and transforms."""
+    key = ("intersect", chart.ring, chart.relations.gens, left.gens, right.gens)
+    return remembered(key, intersect_on_chart, chart, left, right)
+
+
+def _points(
+    chart: Chart, left: Ideal, right: Ideal, found: dict[int, list | None]
+) -> list[PrimaryComponent] | None:
+    """The components of the meet of the transforms of the base ideals left
+    and right on chart, carried from its parent or intersected there; None
+    when one is not a rational point or the intersection raises. found
+    keeps the answers by chart id."""
+    key = id(chart)
+    if key not in found:
+        try:
+            components = _carried(chart, left, right, found)
+            if components is None:
+                moved = (proper_transform(chart, left), proper_transform(chart, right))
+                components = _intersect(chart, *moved)
+        except BudgetExceededError:
+            raise
+        except SingpairError:
+            components = None
+        if components is not None and any(pc.point is None for pc in components):
+            components = None
+        found[key] = components
+    return found[key]
+
+
+def _carried(
+    chart: Chart, left: Ideal, right: Ideal, found: dict[int, list | None]
+) -> list[PrimaryComponent] | None:
+    """chart's components carried from its parent chart without Groebner
+    work, or None when they cannot be.
+
+    A pass-through chart has its parent's ring, relations, transforms and
+    components. A pivot chart of step s is carried when one of the two
+    transforms misses the center of s on the parent, so that the meet does,
+    and every point of the parent's meet is rational. Off the center the
+    blowup is an isomorphism (Fulton, Intersection Theory, App. B.6), so
+    the chart's meet is the parent's where the pivot generator does not
+    vanish, with the same local rings: each such point keeps its
+    multiplicity and moves to the coordinates LineageStep names. Smoothness
+    is inherited too, so no point needs the chart's singular locus.
+    """
+    parent = chart.parent
+    if parent is None:
+        return None
+    step = chart.lineage[-1]
+    if step.exceptional is not None and not (
+        misses_center(chart, left) or misses_center(chart, right)
+    ):
+        return None
+    points = _points(parent, left, right, found)
+    if points is None or step.exceptional is None:
+        return points
+    ratios = dict(step.ratios)
+    pivot = step.center[step.pivot]
+    out = []
+    for pc in points:
+        scale = pivot.evaluate(pc.point)
+        if not scale:
+            continue
+        point = {
+            n: _quotient(step.center[ratios[n]].evaluate(pc.point), scale)
+            if n in ratios
+            else pc.point[n]
+            for n in chart.ring.names
+        }
+        out.append(point_component(chart.ring, point, pc.multiplicity))
+    return sort_components(out)
 
 
 def pushforward(
@@ -256,6 +356,7 @@ def pair(
     left = _transformable(strat, a.ideal)
     right = _transformable(strat, b.ideal)
     chart_components = {}
+    found: dict[int, list | None] = {}
     for chart in _met_leaves(strat, left, right):
         moved_left = proper_transform(chart, left)
         if moved_left.is_trivial():
@@ -263,7 +364,11 @@ def pair(
         moved_right = proper_transform(chart, right)
         if moved_right.is_trivial():
             continue
-        components = intersect_on_chart(chart, moved_left, moved_right)
+        components = _carried(chart, left, right, found)
+        if components is None:
+            components = _intersect(chart, moved_left, moved_right)
+        elif components:
+            _require_complete_intersection(chart, moved_left, moved_right)
         if components:
             chart_components[chart.name] = components
     pushed = pushforward(strat, chart_components)

@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import test_strata
 
 from singpair import blowup
 from singpair.blowup import ResolutionTower, blowdown_image, proper_transform
@@ -494,3 +495,56 @@ def test_charts_over_a_singular_parent_are_tested_themselves(monkeypatch):
     names = [c.name for c in tower.nonempty_leaves()]
     (first,) = [c.name for c in tower.leaves if c.relations is seen[-1]]
     assert first.startswith("T=1/") and own_tests(tower, seen) == names[: names.index(first) + 1]
+
+
+def pivot_charts(tower):
+    """Every chart of the tower made by a pivot step, leaves and their
+    ancestors, once each."""
+    found = {}
+    for leaf in tower.leaves:
+        chart = leaf
+        while chart.parent is not None:
+            if chart.lineage[-1].exceptional is not None:
+                found.setdefault(id(chart), chart)
+            chart = chart.parent
+    return list(found.values())
+
+
+# a tower that both files build, a bundled one included, has one name in
+# both and is checked once
+RATIO_CASES = {
+    **SMOOTHNESS_CASES,
+    **{
+        f"strata_{name}": build
+        for name, build in test_strata.TOWERS.items()
+        if name not in SMOOTHNESS_CASES
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATIO_CASES))
+def test_ratio_variables_are_quotients_of_center_generators(case):
+    # on every pivot chart, each ratio variable r_j of the step satisfies
+    # center[j] = r_j * center[pivot] modulo the chart's relations, the
+    # pivot generator pulls back to the exceptional, and every other chart
+    # variable is a coordinate of the parent chart that the step leaves
+    # alone: what carrying a parent's intersection points to the chart reads
+    checked = 0
+    for tower in RATIO_CASES[case]():
+        for chart in pivot_charts(tower):
+            step = chart.lineage[-1]
+            move = step.substitution_map()
+            pulled = [g.substitute(move, chart.ring) for g in step.center]
+            assert pulled[step.pivot] == step.exceptional, chart.name
+            ratios = dict(step.ratios)
+            assert sorted(ratios.values()) == [
+                j for j in range(len(step.center)) if j != step.pivot
+            ], chart.name
+            for name, j in step.ratios:
+                relation = pulled[j] - chart.ring.var(name) * pulled[step.pivot]
+                assert chart.relations.contains(relation), (chart.name, name)
+            for name in chart.ring.names:
+                if name not in ratios:
+                    assert name in chart.parent.ring.names and name not in move, chart.name
+            checked += 1
+    assert checked > 0

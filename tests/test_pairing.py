@@ -5,7 +5,8 @@ from functools import cache
 
 import pytest
 
-from singpair.blowup import ResolutionTower
+from singpair import pairing
+from singpair.blowup import ResolutionTower, misses_center
 from singpair.cycles import Cycle, CycleFamily, Perversity
 from singpair.errors import (
     ComplementarityError,
@@ -296,3 +297,95 @@ class TestPlanePairs:
     def test_direct_degree_of_overlap_is_undefined(self):
         line = Ideal.parse(PLANE, "y - x")
         assert direct_degree(plane_strat(), line, line) is None
+
+
+def carried_charts(monkeypatch, carry: bool = True) -> dict:
+    """chart name -> the components pair carries to it from its parent, or
+    None where it does not, recorded from the next pair calls; with carry
+    False, nothing is carried and every met leaf intersects itself."""
+    carried = pairing._carried
+    seen = {}
+
+    def recording(chart, left, right, found):
+        out = carried(chart, left, right, found) if carry else None
+        seen[chart.name] = out
+        return out
+
+    monkeypatch.setattr(pairing, "_carried", recording)
+    return seen
+
+
+A1 = PolynomialRing(("x", "y", "z"))
+
+
+class TestCarriedPoints:
+    @staticmethod
+    def pair_or_error(a, b, strat):
+        try:
+            return pair(a, b, strat, allow_noncomplementary=True, check_perversity=False)
+        except (CompleteIntersectionError, SmoothnessError) as exc:
+            return type(exc), str(exc)
+
+    def test_a_singular_parent_leaves_the_error_to_the_leaf(self, monkeypatch):
+        # the A_1 cone xy = z^2 blown up at the smooth point (1, 1, 1): the
+        # lines V(x, z) and V(y, z) meet at the vertex, which the center
+        # misses and the first line too. The parent chart refuses the vertex,
+        # so nothing is carried, and each leaf refuses it as it does when
+        # nothing is carried at all
+        tower = ResolutionTower.affine(A1, (A1.parse("x*y - z^2"),))
+        tower.blow_up(tuple(Ideal.parse(A1, "x - 1; y - 1; z - 1").gens))
+        strat = Stratification(tower, rules=("images",))
+        a = Cycle("A", Ideal.parse(A1, "x; z"), Perversity.zero(2))
+        b = Cycle("B", Ideal.parse(A1, "y; z"), Perversity.zero(2))
+        leaf = tower.leaves[0]
+        assert leaf.name == "aff/s1p0" and misses_center(leaf, a.ideal)
+        seen = carried_charts(monkeypatch)
+        got = self.pair_or_error(a, b, strat)
+        assert seen == {"aff": None, "aff/s1p0": None}
+        assert got == (
+            SmoothnessError,
+            "intersection point on chart aff/s1p0 sits where the chart is singular",
+        )
+        carried_charts(monkeypatch, carry=False)
+        assert self.pair_or_error(a, b, strat) == got
+
+    def test_irrational_parent_points_are_not_carried(self, monkeypatch):
+        a = Cycle("h", Ideal.parse(PLANE, "y - 1"), Perversity.zero(2))
+        b = Cycle("c", Ideal.parse(PLANE, "(x^2 - 2)*(x - 3)"), Perversity.top(2))
+        seen = carried_charts(monkeypatch)
+        got = pair(a, b, plane_strat())
+        assert seen == {"aff": None, "aff/s1p0": None, "aff/s1p1": None}
+        carried_charts(monkeypatch, carry=False)
+        assert pair(a, b, plane_strat()) == got
+
+    @pytest.mark.parametrize("refused", [("xp", "y"), ("x", "yp")])
+    def test_the_complete_intersection_guard_runs_where_points_are_carried(
+        self, monkeypatch, refused
+    ):
+        # the lines y = x - 1 and x = 1 meet at (1, 0), off the blown-up
+        # origin, so both pivot charts are carried: aff/s1p1 (ring x, yp)
+        # gets the point and aff/s1p0 (ring xp, y), where y = 0, gets none.
+        # Both transforms on the chart with the refused ring fail the
+        # complete-intersection test; only a chart with a point raises, as
+        # it does when nothing is carried
+        guard = pairing._is_complete_intersection
+        monkeypatch.setattr(
+            pairing,
+            "_is_complete_intersection",
+            lambda ideal: ideal.ring.names != refused and guard(ideal),
+        )
+        a = Cycle("A", Ideal.parse(PLANE, "y - x + 1"), Perversity.zero(2))
+        b = Cycle("B", Ideal.parse(PLANE, "x - 1"), Perversity.zero(2))
+        seen = carried_charts(monkeypatch)
+        got = self.pair_or_error(a, b, plane_strat())
+        assert seen["aff/s1p0"] == [] and len(seen["aff/s1p1"]) == 1
+        if refused == ("xp", "y"):
+            assert list(got["charts"]) == ["aff/s1p1"] and got["degree"] == 1
+        else:
+            assert got == (
+                CompleteIntersectionError,
+                "neither cycle on chart aff/s1p1 is cut by codimension many "
+                "equations; multiplicities would be unreliable",
+            )
+        carried_charts(monkeypatch, carry=False)
+        assert self.pair_or_error(a, b, plane_strat()) == got

@@ -14,6 +14,7 @@ from singpair.blowup import ResolutionTower, proper_transform
 from singpair.cli import Flags, exit_code, main, run_tasks
 from singpair.errors import BudgetExceededError, ImproperIntersectionError, ScenarioError
 from singpair.factor import factor
+from singpair.geometry import singular_locus
 from singpair.ideals import Ideal
 from singpair.pairing import intersect_on_chart, transform_cycle
 from singpair.polyring import Polynomial, PolynomialRing
@@ -680,6 +681,53 @@ def test_pair_skips_only_leaves_whose_meet_is_empty(monkeypatch):
     assert skipped_by_scenario["tower_extension"] == [
         f"aff/s1p{i}/s2p{j}" for i in (1, 2) for j in range(4)
     ]
+
+
+def test_pair_carries_a_parent_meet_exactly_as_the_chart_intersects(monkeypatch):
+    # pair carries a chart's intersection points from its parent chart when
+    # a transform misses the step's center there. Over the pair, audit and
+    # compare-towers tasks of every bundled scenario, each carried chart's
+    # components are those intersect_on_chart finds on it, the chart is
+    # smooth at each carried point, and every report equals the one that
+    # carrying nothing gives
+    carried = pairing._carried
+    seen = []
+
+    def recording(chart, left, right, found):
+        out = carried(chart, left, right, found)
+        if out is not None:
+            seen.append((chart, left, right, out))
+        return out
+
+    def rows(path):
+        report = run_tasks(parse_scenario(path), Flags())
+        return [(row["name"], row["status"], row["payload"]) for row in report["tasks"]]
+
+    def shape(components):
+        return [(pc.prime.gens, pc.multiplicity, pc.residue_degree, pc.point) for pc in components]
+
+    carried_by_scenario = {}
+    for path in sorted(CORPUS.glob("*.scn")):
+        monkeypatch.setattr(pairing, "_carried", recording)
+        with_carrying = rows(path)
+        carried_by_scenario[path.stem] = sorted({chart.name for chart, *_ in seen})
+        for chart, left, right, components in seen:
+            moved = [proper_transform(chart, cycle) for cycle in (left, right)]
+            assert shape(components) == shape(intersect_on_chart(chart, *moved)), chart.name
+            sing = singular_locus(chart.relations)
+            for pc in components:
+                assert not all(pc.prime.contains(g) for g in sing.gens), chart.name
+        seen.clear()
+        monkeypatch.setattr(pairing, "_carried", lambda chart, left, right, found: None)
+        assert with_carrying == rows(path), path.name
+    assert carried_by_scenario == {
+        "affine_quadric_cone": [],
+        "fourfold_cone": [],
+        "nodal_image": [],
+        "projective_closure": [],
+        "smooth_blowup_plane": ["aff/s1p0", "aff/s1p1"],
+        "tower_extension": [f"aff/s1p0/s2p{j}" for j in range(4)],
+    }
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_reports.json"

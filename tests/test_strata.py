@@ -83,11 +83,49 @@ class TestConeStratification:
         assert set(PRESETS) == {"curve_recipe", "fourfold_recipe"}
 
 
+def smooth_plane_tower() -> ResolutionTower:
+    """The plane blown up at the origin."""
+    ring = PolynomialRing(("x", "y"))
+    tower = ResolutionTower.affine(ring, ())
+    tower.blow_up((ring.var("x"), ring.var("y")))
+    return tower
+
+
+def fourfold_cone_tower() -> ResolutionTower:
+    """The quadric cone times a line, blown up along x = y = z."""
+    ring = PolynomialRing(("x", "y", "z", "t", "w"))
+    tower = ResolutionTower.affine(ring, (ring.parse("x^2 - y^2 + t*z^2"),))
+    tower.blow_up((ring.var("x"), ring.var("y"), ring.var("z")))
+    return tower
+
+
+NODAL_CURVE = ("y^2 - x^3 - x^2", "w")
+
+
+def nodal_curve_tower() -> ResolutionTower:
+    """A^3 blown up at the origin, then along the nodal curve in w = 0."""
+    ring = PolynomialRing(("x", "y", "w"))
+    tower = ResolutionTower.affine(ring, ())
+    tower.blow_up((ring.var("x"), ring.var("y"), ring.var("w")))
+    tower.blow_up(tuple(ring.parse(g) for g in NODAL_CURVE))
+    return tower
+
+
+def projective_lines_tower() -> ResolutionTower:
+    """The projective quadric cone blown up along the lines X = Y = Z = 0,
+    X + Y = S = Z = 0 and X - Y = S = Z = 0."""
+    ring = PolynomialRing(("S", "T", "X", "Y", "Z"))
+    tower = ResolutionTower.projective(ring, (ring.parse("S*X^2 - S*Y^2 + T*Z^2"),))
+    tower.blow_up((ring.var("X"), ring.var("Y"), ring.var("Z")))
+    tower.blow_up((ring.parse("X + Y"), ring.var("S"), ring.var("Z")))
+    tower.blow_up((ring.parse("X - Y"), ring.var("S"), ring.var("Z")))
+    return tower
+
+
 class TestSmoothPlane:
     def test_origin_enters_at_bottom(self):
-        ring = PolynomialRing(("x", "y"))
-        tower = ResolutionTower.affine(ring, ())
-        tower.blow_up((ring.var("x"), ring.var("y")))
+        tower = smooth_plane_tower()
+        ring = tower.input_ring
         strat = Stratification(tower, rules=("images",))
         assert strat.top == 2
         origin = Ideal.parse(ring, "x; y")
@@ -98,9 +136,8 @@ class TestSmoothPlane:
 
 class TestFourfold:
     def test_rank_drop_curve_at_level_three(self):
-        ring = PolynomialRing(("x", "y", "z", "t", "w"))
-        tower = ResolutionTower.affine(ring, (ring.parse("x^2 - y^2 + t*z^2"),))
-        tower.blow_up((ring.var("x"), ring.var("y"), ring.var("z")))
+        tower = fourfold_cone_tower()
+        ring = tower.input_ring
         strat = Stratification(tower, rules=PRESETS["fourfold_recipe"])
         assert strat.top == 4
         assert same_variety(strat.level(2)[0], Ideal.parse(ring, "x; y; z"))
@@ -111,11 +148,9 @@ class TestFourfold:
 
 class TestNodalImages:
     def test_node_is_one_level_deeper_than_curve(self):
-        ring = PolynomialRing(("x", "y", "w"))
-        tower = ResolutionTower.affine(ring, ())
-        tower.blow_up((ring.var("x"), ring.var("y"), ring.var("w")))
-        curve = (ring.parse("y^2 - x^3 - x^2"), ring.var("w"))
-        tower.blow_up(curve)
+        tower = nodal_curve_tower()
+        ring = tower.input_ring
+        curve = tuple(ring.parse(g) for g in NODAL_CURVE)
         strat = Stratification(tower, rules=PRESETS["curve_recipe"])
         assert strat.top == 3
         w_ideal = Ideal(ring, curve)
@@ -129,12 +164,8 @@ class TestNodalImages:
 
 class TestProjectiveStratification:
     def test_three_lines_and_two_points(self):
-        ring = PolynomialRing(("S", "T", "X", "Y", "Z"))
-        f = ring.parse("S*X^2 - S*Y^2 + T*Z^2")
-        tower = ResolutionTower.projective(ring, (f,))
-        tower.blow_up((ring.var("X"), ring.var("Y"), ring.var("Z")))
-        tower.blow_up((ring.parse("X + Y"), ring.var("S"), ring.var("Z")))
-        tower.blow_up((ring.parse("X - Y"), ring.var("S"), ring.var("Z")))
+        tower = projective_lines_tower()
+        ring = tower.input_ring
         strat = Stratification(
             tower, rules=("fibers", "singular_images", "components")
         )
@@ -279,6 +310,18 @@ EXACTNESS_CASES = {
     "umbrella_then_point": lambda: prefixes(umbrella_tower(with_point=True)),
     "quadric_fourfold": lambda: prefixes(quadric_fourfold_tower()),
     "plane_pair": lambda: prefixes(plane_pair_tower()),
+}
+
+
+# every tower this file builds, each with its prefixes where they are used
+TOWERS = {
+    **EXACTNESS_CASES,
+    "cone": lambda: [cone_tower()],
+    "smooth_plane": lambda: [smooth_plane_tower()],
+    "fourfold_cone": lambda: [fourfold_cone_tower()],
+    "nodal_curve": lambda: [nodal_curve_tower()],
+    "projective_lines": lambda: [projective_lines_tower()],
+    "umbrella": lambda: [umbrella_tower()],
 }
 
 
