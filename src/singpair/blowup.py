@@ -158,15 +158,29 @@ def proper_transform(
         if n in chart.ring.names or n in ring0.names:
             raise ValueError(f"passenger variable {n!r} collides with a chart variable")
     cur = PolynomialRing(ring0.names + extra) if extra else ring0
-    start = dict(origin)
-    if extra:
-        start = {k: v.in_ring(cur) for k, v in origin.items()}
-    current = Ideal(cur, (g.substitute(start, cur) for g in ideal.gens))
+    if _is_identity(origin, ideal.ring, ring0):
+        # as on every affine chart: substituting would only move exponents
+        # by name, which in_ring does without expanding anything
+        current = Ideal(cur, (g.in_ring(cur) for g in ideal.gens))
+    else:
+        start = {k: v.in_ring(cur) for k, v in origin.items()} if extra else origin
+        current = Ideal(cur, (g.substitute(start, cur) for g in ideal.gens))
     for step in chart.lineage:
         if step.exceptional is not None:
             key = ("transform", step, extra, current.gens)
             current = remembered(key, _transform_step, step, extra, current)
     return current
+
+
+def _is_identity(
+    binding: dict[str, Polynomial], source: PolynomialRing, target: PolynomialRing
+) -> bool:
+    """Whether binding sends names of source only, each to the variable of
+    the same name in target: then substituting it is moving by name."""
+    return all(
+        n in source.names and n in target.names and v == target.var(n)
+        for n, v in binding.items()
+    )
 
 
 def _transform_step(step: LineageStep, extra: tuple[str, ...], current: Ideal) -> Ideal:

@@ -432,6 +432,11 @@ def _reduced_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     return _share_storage(ring, *_packed(ring, run))
 
 
+def _coprime(monomials: list[tuple[int, ...]]) -> bool:
+    """Whether the monomials are pairwise coprime: no variable occurs in two."""
+    return all(len(column) - column.count(0) <= 1 for column in zip(*monomials))
+
+
 def _buchberger(gens: list[dict], packing: Packing) -> list[dict]:
     """The reduced basis of the packed generators, as packed terms."""
     zero, unpack = packing.zero, packing.unpack
@@ -440,6 +445,10 @@ def _buchberger(gens: list[dict], packing: Packing) -> list[dict]:
     if any(g.lm == zero for g in basis):
         return unit
     lead = [unpack(g.lm) for g in basis]
+    if _coprime(lead):
+        # every S-pair reduces to 0 (Buchberger's first criterion), so the
+        # interreduced input is the reduced basis
+        return [g.terms for g in basis]
     # sugar: the total degree each element would have if every reduction kept
     # degrees homogeneous; an input element's is its total degree
     by_sugar = not packing.order.degree_compatible

@@ -13,6 +13,13 @@ Monomial orders are first-class values because elimination steps need block
 orders and canonical output needs one agreed order per ring. Each order
 also packs monomials into ints laid out for it (Packing), the form the
 Groebner kernel and exact division compute in.
+
+A map that sends a monomial to one term is worked on exponent tuples, not by
+polynomial arithmetic. substitute moves each variable whose image is a single
+term (a renaming, y -> x*yp, a constant) by adding to the exponents, drops the
+terms that a zero image kills, and expands only images of several terms;
+strip_powers by a one-term c*x^a shifts the exponents down and divides the
+coefficients by a power of c.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, itemgetter, le, mul, neg
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Mapping, Union
 
 from .errors import ExactDivisionError, ExponentOverflowError, PolyParseError, RingMismatchError
@@ -69,6 +76,39 @@ def exp_lcm(a: Exponents, b: Exponents) -> Exponents:
 def exp_divides(a: Exponents, b: Exponents) -> bool:
     """True when monomial a divides monomial b."""
     return all(map(le, a, b))
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts, in a fresh dict without zero terms; a
+    sum of Fractions may be left as an integral Fraction."""
+    terms: dict[Exponents, Scalar] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = exp_add(e1, e2)
+            old = terms.get(e)
+            if old is None:
+                terms[e] = c1 * c2
+            else:
+                s = old + c1 * c2
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+    return terms
+
+
+def _power(base, exponent: int, times):
+    """base ** exponent for exponent >= 1, with times as the product:
+    square-and-multiply from the lowest bit, taking the first factor as it
+    is and squaring the base only while higher bits remain."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else times(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = times(base, base)
 
 
 @dataclass(frozen=True)
@@ -480,20 +520,7 @@ class Polynomial:
                 self.ring, _integral({e: c * other for e, c in self.terms.items()})
             )
         self._check(other)
-        terms: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                old = terms.get(e)
-                if old is None:
-                    terms[e] = c1 * c2
-                else:
-                    s = old + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        return Polynomial._new(self.ring, _integral(terms))
+        return Polynomial._new(self.ring, _integral(_mul_terms(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -502,18 +529,7 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         if exponent == 0:
             return self.ring.one()
-        # square-and-multiply from the lowest bit; the first factor is taken
-        # as it is and the base is squared only while higher bits remain
-        result = None
-        base = self
-        n = exponent
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(self, exponent, mul)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Quotient self/other when the division is exact; ExactDivisionError
@@ -593,10 +609,34 @@ class Polynomial:
     def strip_powers(self, f: "Polynomial") -> tuple["Polynomial", int]:
         """(q, k) with self = f^k * q and f not dividing q: self divided by
         the highest power of f that divides it. self is nonzero and f is
-        not constant."""
+        not constant.
+
+        A one-term f = c*x^a divides a polynomial exactly when x^a divides
+        each of its terms, so k is the least e[i] // a[i] over the terms e
+        of self and the variables i of a, and q is read off by moving
+        exponents: every exponent drops by k*a and every coefficient is
+        divided by c^k. Any other f is divided out one power at a time.
+        """
         self._check(f)
         if f.is_constant():
             raise ValueError("cannot strip powers of a constant")
+        if len(f.terms) == 1:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            ((a, c),) = f.terms.items()
+            support = [(i, ai) for i, ai in enumerate(a) if ai]
+            k = min(e[i] // ai for e in self.terms for i, ai in support)
+            if not k:
+                return self, 0
+            drop = tuple(k * ai for ai in a)
+            ck = c**k
+            return Polynomial._new(
+                self.ring,
+                {
+                    tuple(map(sub, e, drop)): v if ck == 1 else _quotient(v, ck)
+                    for e, v in self.terms.items()
+                },
+            ), k
         lead = f.leading_monomial()
         g, k = self, 0
         while exp_divides(lead, g.leading_monomial()):  # needed for f to divide g
@@ -634,7 +674,17 @@ class Polynomial:
 
         The target ring defaults to the ring of the first Polynomial binding,
         falling back to self.ring. Every variable actually used must either be
-        bound or exist in the target ring.
+        bound or exist in the target ring: KeyError for a binding of a
+        variable self.ring lacks and for an unbound used variable the target
+        lacks, RingMismatchError for a binding in another ring.
+
+        A variable whose image is one term c*m (an unbound or renamed
+        variable, y -> x*yp, a constant) moves by exponent arithmetic: x^k
+        turns into c^k*m^k by adding k times m to the exponents. A term
+        holding a variable whose image is zero is dropped. Only the images
+        of more than one term are expanded, on term dicts, each distinct
+        power once per call and each term's product of them without its
+        coefficient, which scales the product as it is added in.
         """
         if ring is None:
             for v in bindings.values():
@@ -643,43 +693,66 @@ class Polynomial:
                     break
             else:
                 ring = self.ring
-        images: dict[str, Polynomial] = {}
+        names = self.ring.names
+        images: dict[int, dict] = {}
         for name, value in bindings.items():
-            self.ring.index(name)  # reject bindings for foreign variables
+            i = self.ring.index(name)  # rejects bindings for foreign variables
             if not isinstance(value, Polynomial):
-                images[name] = ring.const(value)
+                value = ring.const(value)
             elif value.ring != ring:
                 raise RingMismatchError("binding values must share the target ring")
+            images[i] = value.terms
+        # per used variable: vanish if its image is 0, a move (i, [(j, a)],
+        # c) if it is c * prod(target[j]^a), an expansion (i, terms) else
+        vanish: list[int] = []
+        moves: list[tuple[int, list[tuple[int, int]], Scalar]] = []
+        expand: list[tuple[int, dict]] = []
+        terms = self.terms
+        for i, (name, column) in enumerate(zip(names, zip(*terms))):
+            if not any(column):
+                continue
+            image = images.get(i)
+            if image is None:
+                moves.append((i, [(ring.index(name), 1)], 1))
+            elif not image:
+                vanish.append(i)
+            elif len(image) == 1:
+                ((m, c),) = image.items()
+                moves.append((i, [(j, a) for j, a in enumerate(m) if a], c))
             else:
-                images[name] = value
-        for name in self.variables_used():
-            if name not in images:
-                images[name] = ring.var(name)
-        powers: dict[tuple[str, int], Polynomial] = {}
-
-        def power(name: str, k: int) -> Polynomial:
-            got = powers.get((name, k))
-            if got is None:
-                got = images[name] ** k
-                powers[(name, k)] = got
-            return got
-
-        # a term's image is the product of its powers, scaled by c as it is
-        # added in: no product with the one-term constant c
-        one = ring.one()
+                expand.append((i, image))
+        powers: dict[tuple[int, int], dict] = {}
+        zero = [0] * ring.nvars
         out: dict[Exponents, Scalar] = {}
-        for e, c in self.terms.items():
-            piece = one
-            for i, k in enumerate(e):
+        for e, c in terms.items():
+            if vanish and any(e[i] for i in vanish):
+                continue
+            moved = zero[:]
+            for i, where, ci in moves:
+                k = e[i]
                 if k:
-                    p = power(self.ring.names[i], k)
-                    piece = p if piece is one else piece * p
-            for m, v in piece.terms.items():
+                    for j, a in where:
+                        moved[j] += a * k
+                    if ci != 1:
+                        c = c * ci**k
+            piece = None
+            for i, image in expand:
+                k = e[i]
+                if k:
+                    p = powers.get((i, k))
+                    if p is None:
+                        p = powers[(i, k)] = _power(image, k, _mul_terms)
+                    piece = p if piece is None else _mul_terms(piece, p)
+            if piece is None:
+                images_of_term = ((tuple(moved), c),)
+            else:
+                images_of_term = [(tuple(map(add, moved, m)), c * v) for m, v in piece.items()]
+            for m, v in images_of_term:
                 old = out.get(m)
                 if old is None:
-                    out[m] = c * v
+                    out[m] = v
                 else:
-                    s = old + c * v
+                    s = old + v
                     if s:
                         out[m] = s
                     else:

@@ -17,7 +17,7 @@ from singpair import blowup
 from singpair.blowup import ResolutionTower, blowdown_image, proper_transform
 from singpair.errors import CenterError
 from singpair.geometry import singular_locus
-from singpair.ideals import Ideal
+from singpair.ideals import Ideal, fresh_name
 from singpair.polyring import Polynomial, PolynomialRing
 from singpair.scenario import Workspace, parse_scenario
 
@@ -400,6 +400,60 @@ def test_passenger_variables_ride_along_as_under_substitution(monkeypatch):
     assert [i.ring for i in got] == [i.ring for i in want]
     assert [i.gens for i in got] == [i.gens for i in want]
     assert all("l" in i.ring.names for i in got)
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_CASES))
+def test_affine_transforms_match_the_substitution_route(case, monkeypatch):
+    # every leaf of every prefix: on an affine tower, moving the generators
+    # to the starting chart by name gives the ideals, term for term, that
+    # substituting the identity origin map gives, with and without a
+    # passenger variable riding along; a projective patch substitutes
+    towers = TRANSFORM_CASES[case]()
+    ring = towers[-1].input_ring
+    names = {n for t in towers for c in t.leaves for n in c.ring.names}
+    passenger = fresh_name(names | set(ring.names), "l")
+    family_ring = PolynomialRing(ring.names + (passenger,))
+    lam = family_ring.var(passenger)
+    inputs = []
+    for center in towers[-1].steps:
+        inputs.append((Ideal(ring, center), ()))
+        moved = [g.in_ring(family_ring) for g in center]
+        family = [g + lam * h for g, h in zip(moved, moved[1:] + moved[:1])]
+        inputs.append((Ideal(family_ring, family), (passenger,)))
+    identity = blowup._is_identity
+    verdicts = []
+
+    def recording(binding, source, target):
+        verdicts.append(identity(binding, source, target))
+        return verdicts[-1]
+
+    def transforms():
+        return [
+            proper_transform(leaf, ideal, extra)
+            for tower in towers
+            for leaf in tower.leaves
+            for ideal, extra in inputs
+        ]
+
+    monkeypatch.setattr(blowup, "_is_identity", recording)
+    got = transforms()
+    monkeypatch.setattr(blowup, "_is_identity", lambda binding, source, target: False)
+    want = transforms()
+    assert verdicts == [not t.projective for t in towers for _ in t.leaves for _ in inputs]
+    for g, w in zip(got, want, strict=True):
+        assert g.ring == w.ring
+        assert [list(p.terms.items()) for p in g.gens] == [list(p.terms.items()) for p in w.gens]
+
+
+def test_an_origin_map_that_keeps_the_names_but_moves_them_is_substituted():
+    # a starting chart whose origin map swaps two coordinates, in the ring
+    # of the input: same names on both sides, yet not the identity
+    ring = PolynomialRing(("x", "y"))
+    start = ResolutionTower.affine(ring, ()).leaves[0]
+    swap = replace(start, origin_binding=(("x", ring.var("y")), ("y", ring.var("x"))))
+    ideal = Ideal.parse(ring, "x^2 - y")
+    assert proper_transform(swap, ideal).gens == (ring.parse("y^2 - x"),)
+    assert proper_transform(start, ideal).gens == ideal.gens
 
 
 def reference_all_smooth(tower):

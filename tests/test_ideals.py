@@ -528,6 +528,60 @@ def test_elimination_order_takes_pinned_step_count():
     assert old_meter.used == 256
 
 
+def coprime_lead_input(rng, ring):
+    """Generators whose interreduced leading monomials are often pairwise
+    coprime: a power of its own variable and lower-degree terms each."""
+    names = rng.sample(ring.names, rng.randint(1, len(ring.names)))
+    gens = []
+    for name in names:
+        lead = ring.var(name) ** rng.randint(1, 3)
+        tail = random_poly(rng, ring, rng.randint(0, 3), lead.total_degree() - 1)
+        gens.append(lead * Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2))) + tail)
+    return gens
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_coprime_leads_certify_the_interreduced_input(order, monkeypatch):
+    # Buchberger's first criterion: when the interreduced input's leading
+    # monomials are pairwise coprime it is the reduced basis; the kernel
+    # with the certificate turned off gives the same terms and charges the
+    # same steps
+    rng = random.Random(f"coprime-{order}")
+    ring = PolynomialRing(("a", "b", "c"), order)
+    certify = ideals._coprime
+    verdicts = []
+
+    def recording(monomials):
+        verdicts.append(certify(monomials))
+        return verdicts[-1]
+
+    certified = steps = 0
+    for _ in range(60):
+        if rng.random() < 0.7:
+            gens = coprime_lead_input(rng, ring)
+        else:
+            gens = [random_poly(rng, ring, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        verdicts.clear()
+        monkeypatch.setattr(ideals, "_coprime", recording)
+        with reduction_budget(10**6) as meter:
+            got = ideals._reduced_basis(gens)
+        monkeypatch.setattr(ideals, "_coprime", lambda monomials: False)
+        with reduction_budget(10**6) as bypassed:
+            want = ideals._reduced_basis(gens)
+        assert got == want
+        assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+        assert meter.used == bypassed.used
+        certified += verdicts == [True]
+        steps += meter.used
+    assert certified > 30 and steps > 200, (certified, steps)
+    # coprime leading monomials pass, a shared variable fails
+    assert certify([(2, 0, 0), (0, 1, 3), (0, 0, 0)])
+    assert not certify([(2, 0, 1), (0, 1, 3)])
+
+
 def test_only_grevlex_is_degree_compatible():
     assert MonomialOrder.grevlex().degree_compatible
     assert not MonomialOrder.lex().degree_compatible

@@ -359,19 +359,177 @@ def test_power_multiplies_only_what_it_needs(monkeypatch):
 
 
 def test_substitute_multiplies_powers_not_constants(monkeypatch):
-    f = R.parse("3*x*y^2 - y + 5")
+    # the images of x and y have two terms each: y^2 is expanded once for
+    # both terms that hold it, and each term's image is the product of its
+    # expanded powers, scaled by the coefficient as it is added in
+    f = R.parse("3*x*y^2 - y^2 + y + 5")
     bindings = {"x": R.parse("x + t"), "y": R.parse("y - z")}
-    calls = []
-    mul = Polynomial.__mul__
+    powers, products = [], []
+    power, mul_terms = polyring._power, polyring._mul_terms
 
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counting_power(base, exponent, times):
+        powers.append((dict(base), exponent))
+        return power(base, exponent, times)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
-    f.substitute(bindings)
-    # y^2 is one product and x*y^2 another; no term is multiplied by its coefficient
-    assert len(calls) == 2
+    def counting_mul_terms(a, b):
+        products.append((len(a), len(b)))
+        return mul_terms(a, b)
+
+    monkeypatch.setattr(polyring, "_power", counting_power)
+    monkeypatch.setattr(polyring, "_mul_terms", counting_mul_terms)
+    monkeypatch.setattr(Polynomial, "__mul__", None)  # no Polynomial temporaries
+    got = f.substitute(bindings)
+    monkeypatch.undo()
+    assert got == reference_substitute(f, bindings, R)
+    assert sorted((len(b), k) for b, k in powers) == [(2, 1), (2, 1), (2, 2)]
+    assert len({(tuple(b), k) for b, k in powers}) == 3
+    # squaring y - z, then x + t times (y - z)^2: never a one-term factor
+    assert products == [(2, 2), (2, 3)]
+
+
+def expanding_substitute(f, bindings, ring=None):
+    """substitute as every image is expanded: the image of each variable a
+    term uses is raised to its power (each distinct power once) and the
+    powers are multiplied as polynomials."""
+    if ring is None:
+        ring = next((v.ring for v in bindings.values() if isinstance(v, Polynomial)), f.ring)
+    images = {}
+    for name, value in bindings.items():
+        f.ring.index(name)
+        if not isinstance(value, Polynomial):
+            images[name] = ring.const(value)
+        elif value.ring != ring:
+            raise RingMismatchError("binding values must share the target ring")
+        else:
+            images[name] = value
+    for name in sorted(f.variables_used(), key=f.ring.index):
+        if name not in images:
+            images[name] = ring.var(name)
+    powers = {}
+    one = ring.one()
+    out = {}
+    for e, c in f.terms.items():
+        piece = one
+        for name, k in zip(f.ring.names, e):
+            if k:
+                if (name, k) not in powers:
+                    powers[(name, k)] = images[name] ** k
+                piece = powers[(name, k)] if piece is one else piece * powers[(name, k)]
+        for m, v in piece.terms.items():
+            s = out.get(m, 0) + c * v
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return Polynomial(ring, out)
+
+
+def random_image(rng, ring):
+    """A zero, constant, one-term or multi-term image in ring."""
+    kind = rng.choice(("zero", "constant", "scalar", "variable", "monomial", "poly", "poly"))
+    if kind == "zero":
+        return rng.choice((0, ring.zero()))
+    if kind == "constant":
+        return ring.const(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+    if kind == "scalar":
+        return rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.choice((1, 2)))))
+    if kind == "variable":
+        return ring.var(rng.choice(ring.names))
+    if kind == "monomial":
+        e = tuple(rng.choice((0, 0, 1, 2)) for _ in ring.names)
+        return Polynomial(ring, {e: Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))})
+    return small_poly(rng, ring)
+
+
+def test_substitute_matches_the_expanding_reference():
+    # seeded bindings of every image kind into the source ring, a target
+    # with the names permuted, and targets with passenger names around them:
+    # the same terms, in the same order, as expanding every image
+    rng = random.Random("substitute-moves")
+    source = PolynomialRing(("x", "y", "z", "w"))
+    targets = [
+        source,
+        PolynomialRing(("w", "z", "y", "x"), MonomialOrder.lex()),
+        PolynomialRing(("a", "x", "y", "z", "w", "b"), MonomialOrder.elim(1)),
+        PolynomialRing(("z", "u", "x", "w", "v", "y")),
+    ]
+    kinds = set()
+    for _ in range(400):
+        f = small_poly(rng, source)
+        if rng.random() < 0.3:
+            f = f * small_poly(rng, source)  # more terms meet and cancel
+        target = rng.choice(targets)
+        names = rng.sample(source.names, rng.randint(0, 4))
+        bindings = {n: random_image(rng, target) for n in names}
+        for v in bindings.values():
+            size = len(v.terms) if isinstance(v, Polynomial) else int(v != 0)
+            kinds.add(min(size, 2))
+        passed = target if rng.random() < 0.8 or not bindings else None
+        got = f.substitute(bindings, passed)
+        want = expanding_substitute(f, bindings, passed)
+        assert same_terms(got, want), (f, bindings)
+        assert all(in_convention(c) for c in got.terms.values())
+    assert kinds == {0, 1, 2}
+    # the three errors: a binding for a variable the source lacks, a used
+    # unbound variable the target lacks, a value in another ring
+    f = source.parse("x*y - 2*z")
+    narrow = PolynomialRing(("x", "y"))
+    cases = [
+        ({"q": source.var("x")}, None, KeyError),
+        ({"x": narrow.var("y")}, narrow, KeyError),
+        ({"x": source.var("y")}, narrow, RingMismatchError),
+        ({"x": narrow.var("y"), "y": source.var("x")}, None, RingMismatchError),
+    ]
+    for bindings, target, error in cases:
+        for run in (f.substitute, lambda b, r: expanding_substitute(f, b, r)):
+            with pytest.raises(error):
+                run(bindings, target)
+
+
+def reference_strip_powers(p, f):
+    """Divide by f with exact_div until it no longer divides."""
+    k = 0
+    while True:
+        try:
+            p = p.exact_div(f)
+        except ExactDivisionError:
+            return p, k
+        k += 1
+
+
+@pytest.mark.parametrize(
+    "order", (MonomialOrder.grevlex(), MonomialOrder.lex(), MonomialOrder.elim(2)), ids=str
+)
+def test_strip_powers_by_a_monomial_matches_repeated_division(order):
+    # f = c*x^a with c other than 1 and -1, a on one or more variables,
+    # applied to f^k * g for g that f may or may not divide again
+    rng = random.Random(f"strip-{order}")
+    ring = PolynomialRing(("x", "y", "z"), order)
+    stripped = set()
+    for _ in range(300):
+        a = tuple(rng.choice((0, 0, 1, 2)) for _ in ring.names)
+        if not any(a):
+            continue
+        c = rng.choice((1, -1, 2, -3, Fraction(3, 2), Fraction(-1, 4)))
+        f = Polynomial(ring, {a: c})
+        g = small_poly(rng, ring)
+        if g.is_zero():
+            continue
+        p = f ** rng.randint(0, 3) * g
+        got = p.strip_powers(f)
+        want = reference_strip_powers(p, f)
+        assert got == want, (p, f)
+        assert all(in_convention(v) for v in got[0].terms.values())
+        stripped.add(min(got[1], 2))
+    assert stripped == {0, 1, 2}
+    x = ring.var("x")
+    # nothing to strip hands back the polynomial itself
+    p = ring.parse("x*y + z")
+    assert p.strip_powers(2 * x) == (p, 0) and p.strip_powers(2 * x)[0] is p
+    with pytest.raises(ValueError):
+        ring.zero().strip_powers(3 * x)
+    with pytest.raises(ValueError):
+        p.strip_powers(ring.const(Fraction(1, 2)))
 
 
 # -- the coefficient convention: an int when integral, a Fraction otherwise ------

@@ -801,4 +801,4 @@ def test_corpus_runs_keep_the_coefficient_convention(monkeypatch):
     for path in sorted(CORPUS.glob("*.scn")):
         assert exit_code(run_tasks(parse_scenario(path), Flags())) == 0, path.name
     assert bad == []
-    assert built["public"] > 100 and built["internal"] > 10000, built
+    assert built["public"] > 100 and built["internal"] > 9000, built
