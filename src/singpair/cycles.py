@@ -17,7 +17,14 @@ from .blowup import blowdown_image, proper_transform
 from .errors import PerversityError
 from .factor import factor
 from .ideals import Ideal
+from .polyring import _coefficient
 from .strata import Stratification, split_components
+
+
+def _parameter_value(value) -> Fraction:
+    """value as a Fraction; TypeError for a float or any other value that is
+    not an int or a Fraction, as for a polynomial coefficient."""
+    return Fraction(_coefficient(value))
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,8 @@ class CycleFamily:
 
     total lives in the base ring extended by the parameter; fiber(c) cuts
     the parameter at c and projects back down to the base coordinates.
+    Marked values and c are ints or Fractions, stored as Fractions; a float
+    raises TypeError, since it is not exact.
     """
 
     name: str
@@ -108,10 +117,10 @@ class CycleFamily:
     def __post_init__(self) -> None:
         if self.param not in self.total.ring.names:
             raise ValueError(f"parameter {self.param!r} is not a variable of {self.total.ring}")
-        object.__setattr__(self, "marked", tuple(Fraction(v) for v in self.marked))
+        object.__setattr__(self, "marked", tuple(map(_parameter_value, self.marked)))
 
     def fiber(self, value) -> Ideal:
-        cut = self.total.ring.var(self.param) - Fraction(value)
+        cut = self.total.ring.var(self.param) - _parameter_value(value)
         return self.total.plus([cut]).eliminate({self.param})
 
 
@@ -300,7 +309,7 @@ def error_terms(family: CycleFamily, strat: Stratification, value) -> dict:
     marked owned on the one chart whose ownership constraints it meets.
     """
     _require_affine(strat, "error term extraction")
-    value = Fraction(value)
+    value = _parameter_value(value)
     tower = strat.tower
     base = strat.base_ring
     param = family.param

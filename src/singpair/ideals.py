@@ -42,10 +42,24 @@ each distinct exponent tuple and coefficient once, shared within the basis
 and with recently built bases, which keeps bases cheap to hold on to. The
 interreduced input is used once inside the kernel and is not shared.
 
+Elimination, the unit test and the dimension presolve first (the minimal
+presentation step of Macaulay2): a generator c*v + h, c a nonzero constant
+and h free of v, is dropped and v := -h/c substituted into the others,
+until no generator solves a variable. The substitution is the graph
+isomorphism between V(I) and the zero set of the rest in the space
+without v, so it keeps the dimension and emptiness, and for a dropped v
+the elimination ideal (Cox, Little and O'Shea, Ideals, Varieties, and
+Algorithms, ch. 3 sec. 1). Ideal.eliminate substitutes away only dropped
+variables; is_trivial and krull_dimension substitute any variable, and
+only when the ideal has no cached basis. groebner(), contains,
+normal_form and canonical_key never presolve, so every reduced basis an
+ideal reports is its own.
+
 Inside groebner_memo() each pure result is computed once, keyed by
 values, never by object ids (an id is reused once its object is freed):
 
 - groebner() keys its nonzero generators, with their ring;
+- presolve() keys its ring, generators and the variables it may solve;
 - factor.factor() keys the polynomial;
 - blowup.proper_transform() keys each lineage step by the step, the
   passenger names and the generators it moves;
@@ -124,9 +138,9 @@ _active_memo: ContextVar[dict | None] = ContextVar("singpair_memo", default=None
 
 @contextmanager
 def groebner_memo() -> Iterator[dict]:
-    """Compute each reduced basis, factorization and strict-transform step
-    once within a block: a later request with an equal key returns the
-    stored result and charges no step."""
+    """Compute each reduced basis, presolve, factorization and
+    strict-transform step once within a block: a later request with an
+    equal key returns the stored result and charges no step."""
     memo: dict = {}
     token = _active_memo.set(memo)
     try:
@@ -504,6 +518,72 @@ def _buchberger(gens: list[dict], packing: Packing) -> list[dict]:
     return [g.terms for g in _interreduced(basis, packing)]
 
 
+# -- presolve -------------------------------------------------------------------
+
+
+def presolve(
+    ring: PolynomialRing, gens: tuple[Polynomial, ...], allowed: tuple[str, ...]
+) -> tuple[tuple[Polynomial, ...], tuple[str, ...]]:
+    """(rest, solved): gens with each variable of allowed that a generator
+    solves substituted away, and those variables in the order they were
+    solved; from the open groebner_memo() when it holds an equal request.
+
+    A generator solves v when v occurs in exactly one of its terms, and
+    that term is c*v: the generator is c*v + h with h free of v. It is
+    dropped and v := -h/c substituted into the others, until no generator
+    solves a variable of allowed. The rest then generate, in the ring
+    without the solved variables, the ideal that the graph isomorphism
+    v -> -h/c carries the input to. A nonzero constant in the rest makes
+    it (1).
+    """
+    return remembered(("presolve", ring, gens, allowed), _presolve, ring, gens, allowed)
+
+
+def _presolve(
+    ring: PolynomialRing, gens: tuple[Polynomial, ...], allowed: tuple[str, ...]
+) -> tuple[tuple[Polynomial, ...], tuple[str, ...]]:
+    free = [ring.index(n) for n in allowed]
+    rest = list(gens)
+    solved: list[str] = []
+    while free:
+        found = _solving(rest, free)
+        if found is None:
+            break
+        k, i = found
+        g = rest.pop(k)
+        unit = tuple(int(j == i) for j in range(ring.nvars))
+        c = g.terms[unit]
+        image = Polynomial._new(
+            ring, {m: _quotient(-d, c) for m, d in g.terms.items() if m != unit}
+        )
+        binding = {ring.names[i]: image}
+        rest = [
+            p.substitute(binding, ring) if any(m[i] for m in p.terms) else p for p in rest
+        ]
+        rest = [p for p in rest if p.terms]
+        solved.append(ring.names[i])
+        free.remove(i)
+        if any(p.is_constant() for p in rest):
+            return (ring.one(),), tuple(solved)
+    return tuple(rest), tuple(solved)
+
+
+def _solving(gens: Sequence[Polynomial], free: list[int]) -> tuple[int, int] | None:
+    """(k, i) for the first of the generators of fewest terms that solve a
+    variable of free, and i the first variable of free that gens[k]
+    solves; None when no generator solves one."""
+    best = None
+    for k, g in enumerate(gens):
+        if best is not None and len(g.terms) >= len(gens[best[0]].terms):
+            continue
+        for i in free:
+            holding = [m for m in g.terms if m[i]]
+            if len(holding) == 1 and holding[0][i] == 1 and sum(holding[0]) == 1:
+                best = (k, i)
+                break
+    return best
+
+
 # -- the Ideal type -----------------------------------------------------------
 
 
@@ -565,8 +645,9 @@ class Ideal:
         return self.normal_form(f).is_zero()
 
     def is_trivial(self) -> bool:
-        gb = self.groebner()
-        return any(g.is_constant() for g in gb)
+        """Whether the ideal is (1), read from the cached basis when there
+        is one and after presolve otherwise."""
+        return any(g.is_constant() for g in self._presolved_basis()[0])
 
     def is_zero(self) -> bool:
         return not self.groebner()
@@ -627,9 +708,15 @@ class Ideal:
         if not kept:
             raise ValueError("cannot eliminate every variable")
         ordered_drop = tuple(n for n in self.ring.names if n in dropset)
-        work = PolynomialRing(ordered_drop + kept, MonomialOrder.elim(len(ordered_drop)))
-        gb = groebner([g.in_ring(work) for g in self.gens])
+        # a dropped variable a generator solves is substituted away first:
+        # the graph isomorphism keeps the relations among the kept variables
+        gens, solved = presolve(self.ring, self.gens, ordered_drop)
         target = PolynomialRing(kept)
+        ordered_drop = tuple(n for n in ordered_drop if n not in solved)
+        if not ordered_drop:
+            return Ideal._of_basis(target, groebner([g.in_ring(target) for g in gens]))
+        work = PolynomialRing(ordered_drop + kept, MonomialOrder.elim(len(ordered_drop)))
+        gb = groebner([g.in_ring(work) for g in gens])
         # the elements free of the dropped variables are the reduced basis of
         # the elimination ideal under the order of the kept block, grevlex,
         # and they come in its ascending order
@@ -733,15 +820,34 @@ class Ideal:
         Raises EmptyVarietyError for the unit ideal. Computed from the
         leading-monomial staircase: the largest variable subset containing
         no leading monomial's support, whose complement is the smallest
-        subset that meets every support.
+        subset that meets every support. Without a cached basis the
+        staircase is that of the presolved generators, whose solved
+        variables are not counted.
         """
-        gb = self.groebner()
+        gb, solved = self._presolved_basis()
         if any(g.is_constant() for g in gb):
             raise EmptyVarietyError(f"{self!r} is the unit ideal")
         supports = {
             sum(1 << i for i, k in enumerate(g.leading_monomial()) if k) for g in gb
         }
-        return self.ring.nvars - _hitting_number(supports)
+        return self.ring.nvars - solved - _hitting_number(supports)
+
+    def _presolved_basis(self) -> tuple[tuple[Polynomial, ...], int]:
+        """(basis, solved): the cached basis and 0 when there is one, else a
+        reduced basis, in this ring, of the presolved generators and the
+        number of variables presolve substituted away. Both zero sets are
+        isomorphic by the graph of the solved variables, so the unit test
+        and the dimension, less solved, read the same on either. When every
+        variable is solved, the presolved generators are () or (1) and
+        need no basis."""
+        if self._gb is not None:
+            return self._gb, 0
+        gens, solved = presolve(self.ring, self.gens, self.ring.names)
+        if not solved:
+            return self.groebner(), 0
+        if len(solved) == self.ring.nvars:
+            return gens, len(solved)
+        return groebner(gens), len(solved)
 
     def dimension_or_none(self) -> int | None:
         """Krull dimension, or None for the empty variety."""

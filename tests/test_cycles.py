@@ -223,3 +223,22 @@ class TestErrorTerms:
         assert len(p0) == 1
         want = Ideal.parse(p0[0].ring, "t; yp + 1/2*z; xp - 1/2*z")
         assert same_variety(p0[0], want)
+
+
+class TestParameterValues:
+    def test_ints_and_fractions_are_stored_as_fractions(self):
+        family = CycleFamily("A", family_a().total, "l", marked=(0, Fraction(1, 2), Fraction(4, 2)))
+        assert family.marked == (0, Fraction(1, 2), 2)
+        assert all(type(v) is Fraction for v in family.marked)
+        assert family.fiber(Fraction(1, 2)) == family_a().fiber(Fraction(2, 4))
+
+    def test_floats_are_refused_as_polynomial_coefficients_are(self):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match="0.1"):
+            CONE_L.const(0.1)
+        with pytest.raises(TypeError, match="0.1"):
+            CycleFamily("A", family_a().total, "l", marked=(0, 0.1))
+        with pytest.raises(TypeError, match="0.1"):
+            family_a().fiber(0.1)
+        with pytest.raises(TypeError, match="1.0"):
+            error_terms(family_a(), refined(), 1.0)

@@ -942,3 +942,134 @@ def test_radical_membership_matches_reference():
         assert got == reference_radical_contains(ideal, f)
         answers.append((got, ideal.contains(f)))
     assert {(True, True), (True, False), (False, False)} <= set(answers)
+
+
+def reference_eliminate(ideal, drop):
+    """The elimination ideal's reduced basis from the elimination order on
+    the raw generators, without presolving."""
+    ordered = tuple(n for n in ideal.ring.names if n in drop)
+    kept = tuple(n for n in ideal.ring.names if n not in drop)
+    work = PolynomialRing(ordered + kept, MonomialOrder.elim(len(ordered)))
+    target = PolynomialRing(kept)
+    basis = groebner([g.in_ring(work) for g in ideal.gens])
+    return tuple(g.in_ring(target) for g in basis if not g.variables_used() & set(drop))
+
+
+def reference_dimension_or_none(ideal):
+    """The dimension from the reduced basis of the raw generators, or None."""
+    raw = Ideal(ideal.ring, ideal.gens)
+    if any(g.is_constant() for g in raw.groebner()):
+        return None
+    return reference_krull_dimension(raw)
+
+
+def free_of(rng, ring, name):
+    """One or two random terms, each of degree at most 1 in every variable
+    but name, which they leave out."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        e = [rng.randint(0, 1) for _ in ring.names]
+        e[ring.index(name)] = 0
+        terms[tuple(e)] = rng.choice((1, -1, 2, -3, Fraction(1, 2)))
+    return Polynomial(ring, terms)
+
+
+def presolve_input(rng, ring):
+    """Generators of four shapes: c*v + h with h free of v; v set to a
+    value; a decoy c*v + v*m + h, whose linear term in v is not v's only
+    term; and a square or cube of v times one or two terms free of v,
+    plus h."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(ring.names)
+        v = ring.var(name)
+        c = rng.choice((1, -1, 2, Fraction(-1, 3)))
+        h = free_of(rng, ring, name)
+        shape = rng.randint(0, 3)
+        if shape == 0:
+            gens.append(c * v + h)
+        elif shape == 1:
+            gens.append(c * v - rng.randint(-3, 3))
+        elif shape == 2:
+            other = ring.var(rng.choice(ring.names))
+            gens.append(c * v + rng.choice((v, other, v * other)) * v + h)
+        else:
+            gens.append(free_of(rng, ring, name) * v ** rng.randint(2, 3) + h)
+    return Ideal(ring, gens)
+
+
+def test_presolved_questions_match_the_raw_elimination_reference():
+    # eliminate, dimension_or_none and is_trivial give what the elimination
+    # order on the raw generators gives, in rings whose names are permuted
+    rng = random.Random("presolve")
+    seen = set()
+    for _ in range(150):
+        names = ["a", "b", "c"]
+        rng.shuffle(names)
+        ring = PolynomialRing(tuple(names), rng.choice((MonomialOrder.grevlex(), MonomialOrder.lex())))
+        ideal = presolve_input(rng, ring)
+        drop = set(rng.sample(ring.names, rng.randint(1, 2)))
+        got = ideal.eliminate(drop)
+        assert got.gens == reference_eliminate(ideal, drop), (ideal, drop)
+        assert got.groebner() == groebner(got.gens)
+        dim = reference_dimension_or_none(ideal)
+        assert Ideal(ring, ideal.gens).dimension_or_none() == dim, ideal
+        assert Ideal(ring, ideal.gens).is_trivial() == (dim is None), ideal
+        _, solved = ideals.presolve(ring, ideal.gens, ring.names)
+        _, dropped = ideals.presolve(ring, ideal.gens, tuple(n for n in ring.names if n in drop))
+        if len(solved) == ring.nvars:
+            seen.add("all solved")
+        if dim is None:
+            seen.add("unit")
+        if any(g.degree_in(n) >= 2 for n in solved for g in ideal.gens):
+            seen.add("power")
+        if dropped and len(dropped) < len(drop):
+            seen.add("some dropped solved")
+        if len(dropped) == len(drop):
+            seen.add("every dropped solved")
+    assert seen == {"all solved", "unit", "power", "some dropped solved", "every dropped solved"}
+
+
+def test_presolve_solves_only_a_variable_in_one_term():
+    a, b, c = R3.gens()
+    # x occurs twice in the first generator, so only the second solves one
+    rest, solved = ideals.presolve(R3, (a + a * b - 1, b - 2 * c), R3.names)
+    assert solved == ("y",) and rest == (a + 2 * a * c - 1,)
+    # z := -x^2*y first, then the value of x into its square; the constant
+    # left makes the rest (1)
+    rest, solved = ideals.presolve(R3, (a**2 * b + c, a - 1, b + 1, c - 2), R3.names)
+    assert solved == ("z", "x", "y") and rest == (R3.one(),)
+    # only the allowed variables are substituted away
+    rest, solved = ideals.presolve(R3, (a - b**2, c - a * b), ("x",))
+    assert solved == ("x",) and rest == (c - b**3,)
+
+
+def test_empty_variety_error_names_the_ideal_asked_about():
+    ideal = Ideal.parse(R3, "x - 1; x - 2")
+    with pytest.raises(EmptyVarietyError) as caught:
+        ideal.krull_dimension()
+    assert str(caught.value) == f"{ideal!r} is the unit ideal"
+    assert ideal.dimension_or_none() is None and ideal.is_trivial()
+
+
+def test_presolved_dimension_counts_only_unsolved_variables():
+    assert Ideal.parse(R4, "x - y*z; t - 2").krull_dimension() == 2
+    assert Ideal.parse(R4, "x - 1; y - x^2; z + y; t - z*x").krull_dimension() == 0
+    assert Ideal.parse(R4, "x - y^2; x^2 - y").krull_dimension() == 2
+    # a cached basis is read as it is
+    cached = Ideal.parse(R4, "x - 1; y^2")
+    cached.groebner()
+    assert cached.krull_dimension() == 2
+
+
+def test_rational_point_blows_down_without_a_reduction_step():
+    from singpair.blowup import ResolutionTower, blowdown_image
+
+    tower = ResolutionTower.affine(R4, (R4.parse("x^2 - y^2 + t*z^2"),))
+    tower.blow_up((R4.var("x"), R4.var("y"), R4.var("z")))
+    leaf = tower.leaves[0]  # x = xp*z, y = yp*z, relation xp^2 - yp^2 + t
+    point = leaf.relations.plus(Ideal.parse(leaf.ring, "xp - 2; yp - 1; z - 3; t + 3"))
+    with reduction_budget(ideals.DEFAULT_BUDGET) as meter:
+        image = blowdown_image(leaf, point, R4)
+    assert meter.used == 0
+    assert image == Ideal.parse(R4, "x - 6; y - 3; z - 3; t + 3")
