@@ -2,11 +2,14 @@
 
 A tower starts from one affine chart (or one chart per projective patch) and
 grows by blowing up centers written in the input coordinates. Each blowup
-step turns every current leaf chart into one chart per center generator
-("pivot"). Generators that are affine-linear in a variable not used by the
-pivot are solved away: the variable is replaced by a ratio variable (named
-by appending p), keeping chart rings small. Unsolvable generators keep an
-explicit graph relation with a fresh ratio variable instead.
+step turns every current leaf chart that meets the center into one chart
+per center generator ("pivot"); a leaf that the center misses stays the
+same chart, since a blowup is an isomorphism off its center (Fulton,
+Intersection Theory, App. B.6). Generators that are affine-linear in a
+variable not used by the pivot are solved away: the variable is replaced
+by a ratio variable (named by appending p), keeping chart rings small.
+Unsolvable generators keep an explicit graph relation with a fresh ratio
+variable instead.
 
 Charts remember their full lineage, along which proper_transform moves
 cycles, families and each next center up the tower step by step; their
@@ -18,7 +21,7 @@ chart variables, which is what blowdown images and pushforwards use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -31,6 +34,10 @@ from .polyring import Polynomial, PolynomialRing
 @dataclass(frozen=True)
 class LineageStep:
     """What one blowup step did to one chart.
+
+    step is the index in ResolutionTower.steps of the step that made the
+    chart; along a lineage it strictly increases, and it skips the steps
+    whose centers missed the chart.
 
     center is the reduced basis of the step's center on the parent chart,
     the chart the step started from; every pivot chart of the step shares
@@ -63,10 +70,11 @@ class LineageStep:
     ring: PolynomialRing
     substitution: tuple[tuple[str, Polynomial], ...]  # eliminated variable -> value
     graph: tuple[Polynomial, ...]  # relations kept for unsolvable generators
-    exceptional: Polynomial | None  # None for a pass-through step
-    center: tuple[Polynomial, ...]  # () for a pass-through step
-    pivot: int | None = None  # None for a pass-through step
-    ratios: tuple[tuple[str, int], ...] = ()  # ratio variable -> center index
+    exceptional: Polynomial
+    center: tuple[Polynomial, ...]
+    pivot: int
+    ratios: tuple[tuple[str, int], ...]  # ratio variable -> center index
+    step: int
 
     def substitution_map(self) -> dict[str, Polynomial]:
         return dict(self.substitution)
@@ -166,9 +174,8 @@ def proper_transform(
         start = {k: v.in_ring(cur) for k, v in origin.items()} if extra else origin
         current = Ideal(cur, (g.substitute(start, cur) for g in ideal.gens))
     for step in chart.lineage:
-        if step.exceptional is not None:
-            key = ("transform", step, extra, current.gens)
-            current = remembered(key, _transform_step, step, extra, current)
+        key = ("transform", step, extra, current.gens)
+        current = remembered(key, _transform_step, step, extra, current)
     return current
 
 
@@ -224,7 +231,7 @@ def _ratio_name(base: str, taken: set[str]) -> str:
 
 
 def _pivot_chart(
-    leaf: Chart, center: tuple[Polynomial, ...], pivot: int, label: str
+    leaf: Chart, center: tuple[Polynomial, ...], pivot: int, index: int
 ) -> Chart:
     ring = leaf.ring
     # generators still to be read: a solved one is dropped once solved
@@ -272,7 +279,7 @@ def _pivot_chart(
         ring = new_ring
 
     for j in unsolved:
-        rname = fresh_name(set(ring.names) | protected, f"r{label.lstrip('s')}_{j}")
+        rname = fresh_name(set(ring.names) | protected, f"r{index + 1}_{j}")
         new_ring = PolynomialRing(ring.names + (rname,), ring.order)
         gens = {k: p.in_ring(new_ring) for k, p in gens.items()}
         subs = {k: v.in_ring(new_ring) for k, v in subs.items()}
@@ -297,9 +304,10 @@ def _pivot_chart(
         center=center,
         pivot=pivot,
         ratios=tuple((ratio[j], j) for j in sorted(ratio)),
+        step=index,
     )
     return Chart(
-        name=f"{leaf.name}/{label}p{pivot}",
+        name=f"{leaf.name}/s{index + 1}p{pivot}",
         ring=ring,
         relations=relations,
         base_binding=tuple((n, carry(v)) for n, v in leaf.base_binding),
@@ -309,13 +317,6 @@ def _pivot_chart(
         origin_binding=leaf.origin_binding,
         parent=leaf,
     )
-
-
-def _pass_through(leaf: Chart) -> Chart:
-    step = LineageStep(
-        ring=leaf.ring, substitution=(), graph=(), exceptional=None, center=()
-    )
-    return replace(leaf, lineage=leaf.lineage + (step,), parent=leaf)
 
 
 def _smooth(chart: Chart, verdicts: dict[int, bool], traces: dict[int, bool]) -> bool:
@@ -329,8 +330,6 @@ def _smooth(chart: Chart, verdicts: dict[int, bool], traces: dict[int, bool]) ->
     parent = chart.parent
     if parent is None:
         verdict = singular_locus(chart.relations).is_trivial()
-    elif chart.lineage[-1].exceptional is None:
-        verdict = _smooth(parent, verdicts, traces)
     else:
         try:
             shown = _smooth(parent, verdicts, traces) and _smooth_trace(
@@ -429,13 +428,13 @@ class ResolutionTower:
         return tower
 
     def blow_up(self, center: tuple[Polynomial, ...]) -> None:
-        label = f"s{len(self.steps) + 1}"
+        index = len(self.steps)
         ideal = Ideal(self.input_ring, center)
         new_leaves: list[Chart] = []
         for leaf in self.leaves:
             transformed = proper_transform(leaf, ideal)
             if transformed.is_trivial():
-                new_leaves.append(_pass_through(leaf))
+                new_leaves.append(leaf)
                 continue
             gb = transformed.groebner()
             expected = leaf.ring.nvars - len(gb)
@@ -446,7 +445,7 @@ class ResolutionTower:
                     f"{len(gb)} generators but dimension {actual}"
                 )
             for pivot in range(len(gb)):
-                chart = _pivot_chart(leaf, gb, pivot, label)
+                chart = _pivot_chart(leaf, gb, pivot, index)
                 for f in self.input_relations:
                     if not chart.relations.contains(chart.pull_back(f)):
                         raise CenterError(
@@ -468,8 +467,7 @@ class ResolutionTower:
         blowup of a smooth variety along a smooth center is smooth
         (Hartshorne, Algebraic Geometry, II.8.24). So a pivot chart is
         smooth when its parent is and the Jacobian criterion finds that
-        trace smooth, asked once per parent for all its pivot charts; a
-        pass-through chart has its parent's relations and verdict. A
+        trace smooth, asked once per parent for all its pivot charts. A
         starting chart, and a chart whose parent or trace is not shown
         smooth (a trace that is no complete intersection included), is
         decided by the Jacobian criterion on its own relations. The rule
@@ -509,9 +507,8 @@ class ResolutionTower:
             sing = singular_locus(base)
         settled: dict[int, bool] = {}  # step s -> V(C_s) lies in V(sing)
         for leaf in self.nonempty_leaves():
-            # one exceptional per step that was not a pass-through, in order
-            blown = [s for s, step in enumerate(leaf.lineage) if step.exceptional is not None]
-            for s, e in zip(blown, leaf.exceptionals):
+            for step, e in zip(leaf.lineage, leaf.exceptionals):
+                s = step.step
                 if s not in settled:
                     center = Ideal(self.input_ring, self.steps[s])
                     settled[s] = center.variety_contained_in(sing)

@@ -110,16 +110,13 @@ def _empty_meet_above(
     chart or on a chart it was made from. A pivot chart maps into its
     parent chart, and its relations and both transforms contain the
     pull-backs of the parent's (Fulton, Intersection Theory, App. B.6), so
-    an empty meet on the parent is an empty meet on the chart. A
-    pass-through chart has its parent's ring, relations and transforms.
-    verdicts keeps the answers by chart id."""
+    an empty meet on the parent is an empty meet on the chart. verdicts
+    keeps the answers by chart id."""
     key = id(chart)
     if key not in verdicts:
         parent = chart.parent
         if parent is not None and _empty_meet_above(parent, left, right, verdicts):
             verdicts[key] = True
-        elif parent is not None and chart.lineage[-1].exceptional is None:
-            verdicts[key] = False
         else:
             moved = (proper_transform(chart, left), proper_transform(chart, right))
             verdicts[key] = _meet(chart, *moved).is_trivial()
@@ -231,27 +228,24 @@ def _carried(
     """chart's components carried from its parent chart without Groebner
     work, or None when they cannot be.
 
-    A pass-through chart has its parent's ring, relations, transforms and
-    components. A pivot chart of step s is carried when one of the two
-    transforms misses the center of s on the parent, so that the meet does,
-    and every point of the parent's meet is rational. Off the center the
-    blowup is an isomorphism (Fulton, Intersection Theory, App. B.6), so
-    the chart's meet is the parent's where the pivot generator does not
-    vanish, with the same local rings: each such point keeps its
-    multiplicity and moves to the coordinates LineageStep names. Smoothness
-    is inherited too, so no point needs the chart's singular locus.
+    A pivot chart of step s is carried when one of the two transforms
+    misses the center of s on the parent, so that the meet does, and every
+    point of the parent's meet is rational. Off the center the blowup is an
+    isomorphism (Fulton, Intersection Theory, App. B.6), so the chart's
+    meet is the parent's where the pivot generator does not vanish, with
+    the same local rings: each such point keeps its multiplicity and moves
+    to the coordinates LineageStep names. Smoothness is inherited too, so
+    no point needs the chart's singular locus.
     """
     parent = chart.parent
     if parent is None:
         return None
-    step = chart.lineage[-1]
-    if step.exceptional is not None and not (
-        misses_center(chart, left) or misses_center(chart, right)
-    ):
+    if not (misses_center(chart, left) or misses_center(chart, right)):
         return None
     points = _points(parent, left, right, found)
-    if points is None or step.exceptional is None:
-        return points
+    if points is None:
+        return None
+    step = chart.lineage[-1]
     ratios = dict(step.ratios)
     pivot = step.center[step.pivot]
     out = []
@@ -296,7 +290,11 @@ def pushforward(
                     (base.var(n) - value.evaluate(pc.point) for n, value in chart.base_binding),
                 )
             residue_degree = image.vector_space_dimension()
-            assert pc.residue_degree % residue_degree == 0
+            if pc.residue_degree % residue_degree:
+                raise AssertionError(
+                    f"point of residue degree {pc.residue_degree} on chart {name} "
+                    f"maps to a base point of residue degree {residue_degree}"
+                )
             relative = pc.residue_degree // residue_degree
             prime = Ideal(base, image.groebner())
             entry = merged.setdefault(

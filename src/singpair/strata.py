@@ -23,11 +23,11 @@ Rules:
                    dimension: over a point nothing smaller is left, and no
                    elimination is run. The eliminant for a ratio variable
                    of step s is computed on a home chart: from the leaf
-                   up toward the chart step s made, past pass-through
-                   steps and past every pivot that is a nonzerodivisor on
-                   its parent's relations. It equals the leaf's, so the
-                   leaves over one step-s chart share one elimination
-                   instead of repeating it on larger rings.
+                   up toward the chart step s made, past every pivot
+                   that is a nonzerodivisor on its parent's relations.
+                   It equals the leaf's, so the leaves over one step-s
+                   chart share one elimination instead of repeating it
+                   on larger rings.
   fibers           degeneration loci of the quadratic cone transverse to a
                    coordinate-like center (rank drop of the induced form)
   singular_images  singular loci of the center images, and pairwise
@@ -277,17 +277,13 @@ class Stratification:
     # -- fiber-dimension jump candidates ------------------------------------------
 
     def _new_variables_by_step(self, chart: Chart) -> dict[str, int]:
-        base_names = {n for n, _ in chart.base_binding}
-        out: dict[str, int] = {}
-        prev: set = set()
-        for k, step in enumerate(chart.lineage):
-            names = set(step.ring.names)
-            fresh = names - prev - base_names if k == 0 else names - prev
-            for n in fresh:
-                out[n] = k
-            prev = names
         # a later pivot can solve an earlier ratio variable away entirely
-        return {n: k for n, k in out.items() if n in chart.ring.names}
+        return {
+            n: step.step
+            for step in chart.lineage
+            for n, _ in step.ratios
+            if n in chart.ring.names
+        }
 
     def _jump_candidates(self) -> list[tuple[int, Ideal]]:
         """(step, locus) pairs over which E -> C is not flat or branches.
@@ -306,12 +302,11 @@ class Stratification:
         kernel of k[v, B] -> O(chart), B the input coordinates (Closure
         Theorem). A pivot step's chart ring is the affine blowup algebra
         O(parent)[g_j/g_p] inside O(parent)[1/g_p], so the kernel of
-        O(parent) -> O(child) is the g_p-torsion of O(parent); a
-        pass-through step is the identity. On every step between home and
-        leaf the pivot g_p is a nonzerodivisor on O(parent), so O(home)
-        injects into O(leaf), and k[v, B] has the same kernel on both. The
-        elimination ideals are equal, hence so are their reduced bases and
-        the candidates read from them.
+        O(parent) -> O(child) is the g_p-torsion of O(parent). On every
+        step between home and leaf the pivot g_p is a nonzerodivisor on
+        O(parent), so O(home) injects into O(leaf), and k[v, B] has the
+        same kernel on both. The elimination ideals are equal, hence so are
+        their reduced bases and the candidates read from them.
         """
         found: dict = {}
         base = self.base_ring
@@ -327,13 +322,12 @@ class Stratification:
             }
             for v, s in sorted(var_step.items()):
                 home = self._home(chart, s, climbable)
-                at = (home.name, len(home.lineage))
-                if at + (v,) in eliminated:
+                if (home.name, v) in eliminated:
                     continue
-                eliminated.add(at + (v,))
-                if at not in graphs:
-                    graphs[at] = graph_ideal(home, home.relations.gens, base)
-                graph, rename = graphs[at]
+                eliminated.add((home.name, v))
+                if home.name not in graphs:
+                    graphs[home.name] = graph_ideal(home, home.relations.gens, base)
+                graph, rename = graphs[home.name]
                 elim = graph.eliminate(set(home.ring.names) - {v})
                 for g in elim.gens:
                     d = g.degree_in(v)
@@ -356,23 +350,21 @@ class Stratification:
     def _home(chart: Chart, step: int, climbable: dict) -> Chart:
         """The chart on which step's ratio variables of chart are eliminated.
 
-        Climbs from chart toward the chart that step made, one lineage step
-        at a time: past a pass-through step always, and past a pivot step
-        when its exceptional, moved into the parent ring, is a nonzerodivisor
-        on the parent's relations (saturating by it changes nothing). Stops
-        at the first pivot that fails, so a chart whose last pivot fails is
-        its own home. climbable remembers each chart's verdict by its name
-        and lineage length.
+        Climbs from chart toward the chart that step made, one parent at a
+        time, past a pivot step when its exceptional, moved into the parent
+        ring, is a nonzerodivisor on the parent's relations (saturating by
+        it changes nothing). Stops at the first pivot that fails, so a
+        chart whose last pivot fails is its own home. climbable remembers
+        each chart's verdict by its name.
         """
-        while len(chart.lineage) > step + 1:
-            at = (chart.name, len(chart.lineage))
-            if at not in climbable:
+        while chart.lineage[-1].step > step:
+            if chart.name not in climbable:
                 last, parent = chart.lineage[-1], chart.parent
-                climbable[at] = last.exceptional is None or (
+                climbable[chart.name] = (
                     parent.relations.saturate(last.exceptional.in_ring(parent.ring))
                     == parent.relations
                 )
-            if not climbable[at]:
+            if not climbable[chart.name]:
                 break
             chart = chart.parent
         return chart

@@ -154,14 +154,16 @@ class TestSecondStep:
         before = {c.name: c for c in tower.leaves}
         tower.blow_up((ring.parse("y^2 - x^3 - x^2"), ring.var("w")))
         assert len(tower.leaves) == 5
-        passed = [c for c in tower.leaves if c.name == "aff/s1p0"]
-        assert len(passed) == 1
-        assert passed[0].lineage[-1].exceptional is None
+        after = {c.name: c for c in tower.leaves}
+        assert len(after) == 5
+        # the center misses aff/s1p0, so the step leaves that chart as it is
+        assert after["aff/s1p0"] is before["aff/s1p0"]
+        assert [step.step for step in after["aff/s1p0"].lineage] == [0]
         child = chart_by_ring(tower, ("x", "yp", "wpp"))
         assert child.name == "aff/s1p2/s2p1"
+        assert [step.step for step in child.lineage] == [0, 1]
         assert child.relations == Ideal(child.ring, (child.ring.var("wpp"),))
         # each chart keeps the chart it was made from, outside equality
-        assert passed[0].parent is before["aff/s1p0"]
         assert child.parent is before["aff/s1p2"]
         assert before["aff/s1p2"].parent.parent is None
         orphan = replace(child, parent=None)
@@ -243,9 +245,8 @@ def reference_center_on_chart(leaf, center):
     """
     graph = ()
     for step in leaf.lineage:
-        if step.exceptional is not None:
-            move = step.substitution_map()
-            graph = tuple(g.substitute(move, step.ring) for g in graph) + step.graph
+        move = step.substitution_map()
+        graph = tuple(g.substitute(move, step.ring) for g in graph) + step.graph
     ideal = Ideal(leaf.ring, tuple(leaf.pull_back(g) for g in center) + graph)
     for e in leaf.exceptionals:
         if ideal.is_trivial():
@@ -402,6 +403,7 @@ def test_passenger_variables_ride_along_as_under_substitution(monkeypatch):
     assert all("l" in i.ring.names for i in got)
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("case", sorted(TRANSFORM_CASES))
 def test_affine_transforms_match_the_substitution_route(case, monkeypatch):
     # every leaf of every prefix: on an affine tower, moving the generators
@@ -552,14 +554,13 @@ def test_charts_over_a_singular_parent_are_tested_themselves(monkeypatch):
 
 
 def pivot_charts(tower):
-    """Every chart of the tower made by a pivot step, leaves and their
+    """Every chart of the tower made by a blowup step, leaves and their
     ancestors, once each."""
     found = {}
     for leaf in tower.leaves:
         chart = leaf
         while chart.parent is not None:
-            if chart.lineage[-1].exceptional is not None:
-                found.setdefault(id(chart), chart)
+            found.setdefault(id(chart), chart)
             chart = chart.parent
     return list(found.values())
 
@@ -576,6 +577,7 @@ RATIO_CASES = {
 }
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("case", sorted(RATIO_CASES))
 def test_ratio_variables_are_quotients_of_center_generators(case):
     # on every pivot chart, each ratio variable r_j of the step satisfies
@@ -602,3 +604,31 @@ def test_ratio_variables_are_quotients_of_center_generators(case):
                     assert name in chart.parent.ring.names and name not in move, chart.name
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("case", sorted(test_strata.TOWERS))
+def test_blowups_keep_missed_leaves_and_make_only_pivot_charts(case):
+    # every chart of the tree was made by a step that blew it up: a step
+    # whose center misses a leaf leaves that very chart in the next tower
+    towers = test_strata.TOWERS[case]()
+    for tower in towers:
+        names = [leaf.name for leaf in tower.leaves]
+        assert len(set(names)) == len(names), case
+        for leaf in tower.leaves:
+            steps = [step.step for step in leaf.lineage]
+            assert steps == sorted(set(steps)), (case, leaf.name)
+            assert all(0 <= s < len(tower.steps) for s in steps), (case, leaf.name)
+            chart = leaf
+            while chart.parent is not None:
+                assert chart.parent.lineage == chart.lineage[:-1], (case, chart.name)
+                chart = chart.parent
+            assert chart.lineage == (), (case, chart.name)
+    for before, after in zip(towers, towers[1:]):
+        assert after.steps[:-1] == before.steps, case
+        step = len(before.steps)
+        made = [c for c in after.leaves if c.lineage and c.lineage[-1].step == step]
+        blown = {id(c.parent) for c in made}
+        missed = [id(c) for c in before.leaves if id(c) not in blown]
+        made_ids = {id(c) for c in made}
+        assert [id(c) for c in after.leaves if id(c) not in made_ids] == missed, case
+        assert blown <= {id(c) for c in before.leaves}, case

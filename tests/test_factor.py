@@ -11,6 +11,8 @@ from singpair.errors import FactorScopeError
 from singpair.factor import _xu_bezout, factor, is_irreducible
 from singpair.polyring import Polynomial, PolynomialRing
 
+pytestmark = pytest.mark.hashseed
+
 
 R1 = PolynomialRing(("x",))
 R2 = PolynomialRing(("x", "y"))

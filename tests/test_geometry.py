@@ -20,6 +20,8 @@ from singpair.geometry import (
 from singpair.ideals import Ideal, fresh_name, reduction_budget
 from singpair.polyring import MonomialOrder, Polynomial, PolynomialRing
 
+pytestmark = pytest.mark.hashseed
+
 
 R2 = PolynomialRing(("x", "y"))
 R3 = PolynomialRing(("x", "y", "z"))

@@ -540,6 +540,7 @@ def coprime_lead_input(rng, ring):
     return gens
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("order", ORDERS, ids=str)
 def test_coprime_leads_certify_the_interreduced_input(order, monkeypatch):
     # Buchberger's first criterion: when the interreduced input's leading
@@ -876,6 +877,7 @@ def random_saturation_input(rng, ring, f):
 @pytest.mark.parametrize(
     "order", (MonomialOrder.grevlex(), MonomialOrder.lex()), ids=str
 )
+@pytest.mark.hashseed
 def test_degree_one_saturation_matches_rabinowitsch_reference(order):
     # every route gives the generators the elimination gives, in its order
     # (the order of terms inside a generator is not read by any output); the
@@ -915,6 +917,7 @@ def test_each_saturation_route_on_a_worked_example():
         assert ideal.saturate(f) == saturated == reference_saturate(ideal, f)
 
 
+@pytest.mark.hashseed
 def test_higher_degree_saturation_matches_rabinowitsch_reference():
     rng = random.Random("saturate-higher")
     ring = PolynomialRing(("a", "b", "c"))
@@ -926,6 +929,7 @@ def test_higher_degree_saturation_matches_rabinowitsch_reference():
         assert ideal.saturate(f).gens == reference_saturate(ideal, f).gens
 
 
+@pytest.mark.hashseed
 def test_radical_membership_matches_reference():
     rng = random.Random("radical")
     ring = PolynomialRing(("a", "b", "c"))
@@ -998,6 +1002,7 @@ def presolve_input(rng, ring):
     return Ideal(ring, gens)
 
 
+@pytest.mark.hashseed
 def test_presolved_questions_match_the_raw_elimination_reference():
     # eliminate, dimension_or_none and is_trivial give what the elimination
     # order on the raw generators gives, in rings whose names are permuted
@@ -1030,6 +1035,7 @@ def test_presolved_questions_match_the_raw_elimination_reference():
     assert seen == {"all solved", "unit", "power", "some dropped solved", "every dropped solved"}
 
 
+@pytest.mark.hashseed
 def test_presolve_solves_only_a_variable_in_one_term():
     a, b, c = R3.gens()
     # x occurs twice in the first generator, so only the second solves one
@@ -1052,6 +1058,7 @@ def test_empty_variety_error_names_the_ideal_asked_about():
     assert ideal.dimension_or_none() is None and ideal.is_trivial()
 
 
+@pytest.mark.hashseed
 def test_presolved_dimension_counts_only_unsolved_variables():
     assert Ideal.parse(R4, "x - y*z; t - 2").krull_dimension() == 2
     assert Ideal.parse(R4, "x - 1; y - x^2; z + y; t - z*x").krull_dimension() == 0
@@ -1062,6 +1069,7 @@ def test_presolved_dimension_counts_only_unsolved_variables():
     assert cached.krull_dimension() == 2
 
 
+@pytest.mark.hashseed
 def test_rational_point_blows_down_without_a_reduction_step():
     from singpair.blowup import ResolutionTower, blowdown_image
 

@@ -15,6 +15,7 @@ from singpair.errors import (
     PerversityError,
     SmoothnessError,
 )
+from singpair.geometry import PrimaryComponent
 from singpair.ideals import Ideal
 from singpair.pairing import (
     audit,
@@ -275,6 +276,7 @@ class TestPlanePairs:
         assert report["direct_degree"] == 1
         assert report["charts"] == {}
 
+    @pytest.mark.hashseed
     def test_rational_points_push_down_as_the_graph_elimination_does(self):
         # a rational point's image is its chart bindings evaluated there; the
         # graph elimination, which the conjugate pair x^2 = 2 still takes,
@@ -293,6 +295,15 @@ class TestPlanePairs:
             e["prime"].gens for e in want["points"]
         ]
         assert [e["residue_degree"] for e in got["points"]] == [1, 2]
+
+    def test_a_residue_degree_its_image_does_not_divide_is_refused(self):
+        # the conjugate pair x^2 = -1 has residue degree 2 on the base, so a
+        # point over it claimed rational would push down with multiplicity
+        # 1 // 2 = 0; the check raises under python -O too
+        strat = Stratification(ResolutionTower.affine(PLANE, ()), rules=("images",))
+        pc = PrimaryComponent(Ideal.parse(PLANE, "x^2 + 1; y"), 1, 1, None)
+        with pytest.raises(AssertionError, match="residue degree"):
+            pushforward(strat, {"aff": [pc]})
 
     def test_direct_degree_of_overlap_is_undefined(self):
         line = Ideal.parse(PLANE, "y - x")
@@ -318,6 +329,7 @@ def carried_charts(monkeypatch, carry: bool = True) -> dict:
 A1 = PolynomialRing(("x", "y", "z"))
 
 
+@pytest.mark.hashseed
 class TestCarriedPoints:
     @staticmethod
     def pair_or_error(a, b, strat):

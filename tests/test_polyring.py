@@ -441,6 +441,7 @@ def random_image(rng, ring):
     return small_poly(rng, ring)
 
 
+@pytest.mark.hashseed
 def test_substitute_matches_the_expanding_reference():
     # seeded bindings of every image kind into the source ring, a target
     # with the names permuted, and targets with passenger names around them:
@@ -500,6 +501,7 @@ def reference_strip_powers(p, f):
 @pytest.mark.parametrize(
     "order", (MonomialOrder.grevlex(), MonomialOrder.lex(), MonomialOrder.elim(2)), ids=str
 )
+@pytest.mark.hashseed
 def test_strip_powers_by_a_monomial_matches_repeated_division(order):
     # f = c*x^a with c other than 1 and -1, a on one or more variables,
     # applied to f^k * g for g that f may or may not divide again

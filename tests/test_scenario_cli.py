@@ -443,6 +443,7 @@ class TestCommandLine:
             assert tagged["counters"] == plain["counters"]
 
 
+@pytest.mark.hashseed
 class TestGroebnerMemo:
     """Within one run each reduced basis is computed once; nothing outlives
     the run."""
@@ -516,6 +517,7 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.hashseed
 class TestFactorMemo:
     """Within one run each polynomial is factored once."""
 
@@ -541,6 +543,7 @@ class TestFactorMemo:
         assert calls == [ints]
 
 
+@pytest.mark.hashseed
 class TestTransformMemo:
     """Within one run each strict-transform step is done once, so sibling
     charts share the steps of their common lineage."""
@@ -601,6 +604,7 @@ class TestTransformMemo:
             assert remembered is retried and stored.used == 0
 
 
+@pytest.mark.hashseed
 def test_parent_miss_answer_matches_the_chart_unit_test(monkeypatch):
     # over every strict-transform step the bundled scenarios take, and those
     # of every bundled cycle moved onto every tower of its scenario, whether
@@ -639,6 +643,7 @@ def test_parent_miss_answer_matches_the_chart_unit_test(monkeypatch):
     assert answers[True] >= 50 and answers[False] >= 40, answers
 
 
+@pytest.mark.hashseed
 def test_pair_skips_only_leaves_whose_meet_is_empty(monkeypatch):
     # pair intersects only on the leaves below no chart where the proper
     # transforms of its cycles meet nowhere. Over the pair, audit and
@@ -683,6 +688,7 @@ def test_pair_skips_only_leaves_whose_meet_is_empty(monkeypatch):
     ]
 
 
+@pytest.mark.hashseed
 def test_pair_carries_a_parent_meet_exactly_as_the_chart_intersects(monkeypatch):
     # pair carries a chart's intersection points from its parent chart when
     # a transform misses the step's center there. Over the pair, audit and
@@ -755,6 +761,7 @@ def without_counters(text: str) -> str:
     return json.dumps(reports, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.hashseed
 def test_corpus_reports_match_golden_file(tmp_path, capsys):
     # every payload and every per-task reduction_steps counter of the six
     # bundled scenarios, byte for byte: a change that moves an answer or the

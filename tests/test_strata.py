@@ -25,6 +25,7 @@ def same_variety(a: Ideal, b: Ideal) -> bool:
     return a.variety_contained_in(b) and b.variety_contained_in(a)
 
 
+@pytest.mark.hashseed
 class TestSplitComponents:
     def test_splits_a_product(self):
         ring = PolynomialRing(("x", "y"))
@@ -51,6 +52,7 @@ class TestSplitComponents:
         assert same_variety(parts[0], Ideal.parse(ring, "x; y"))
 
 
+@pytest.mark.hashseed
 class TestConeStratification:
     def test_coarse(self):
         strat = Stratification(cone_tower(), rules=("images",))
@@ -208,6 +210,24 @@ class TestUserPieces:
 # -- fiber-jump loci ------------------------------------------------------------
 
 
+def ring_diff_variables(chart) -> dict[str, int]:
+    """The reference for Stratification._new_variables_by_step, read off
+    the ring names along the lineage: each chart variable with the step
+    whose ring last brought it in, new against the ring before it (the
+    input coordinates, for the first step)."""
+    base_names = {n for n, _ in chart.base_binding}
+    out: dict[str, int] = {}
+    prev: set = set()
+    for k, step in enumerate(chart.lineage):
+        names = set(step.ring.names)
+        fresh = names - prev - base_names if k == 0 else names - prev
+        for n in fresh:
+            out[n] = step.step
+        prev = names
+    # a later pivot can solve an earlier ratio variable away entirely
+    return {n: s for n, s in out.items() if n in chart.ring.names}
+
+
 class ReferenceStratification(Stratification):
     """The images rule as it was before point centers were skipped.
 
@@ -217,6 +237,9 @@ class ReferenceStratification(Stratification):
 
     def _reference_center(self, step: int) -> Ideal:
         return Ideal(self.base_ring, self.tower.steps[step])
+
+    def _new_variables_by_step(self, chart) -> dict[str, int]:
+        return ring_diff_variables(chart)
 
     def _rule_images(self) -> None:
         for s in range(len(self.tower.steps)):
@@ -341,6 +364,7 @@ def eliminated_homes(tower: ResolutionTower) -> dict[str, dict[tuple[str, int], 
     return out
 
 
+@pytest.mark.hashseed
 class TestFiberJumps:
     @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
     def test_images_rule_matches_reference_at_every_prefix(self, case):
@@ -348,6 +372,21 @@ class TestFiberJumps:
             got = Stratification(tower, rules=("images",)).describe()
             want = ReferenceStratification(tower, rules=("images",)).describe()
             assert got == want, (case, len(tower.steps))
+
+    @pytest.mark.parametrize("case", sorted(TOWERS))
+    def test_ratio_variables_by_step_match_the_ring_diff_reference(self, case):
+        # every chart of every tower, leaves and the charts they were made from
+        checked = 0
+        for tower in TOWERS[case]():
+            strat = Stratification(tower, rules=())
+            for leaf in tower.leaves:
+                chart = leaf
+                while chart is not None:
+                    got = strat._new_variables_by_step(chart)
+                    assert got == ring_diff_variables(chart), (case, chart.name)
+                    checked += bool(got)
+                    chart = chart.parent
+        assert checked > 0
 
     def test_umbrella_double_line_jumps_at_the_pinch_point(self):
         strat = Stratification(umbrella_tower(), rules=("images",))
