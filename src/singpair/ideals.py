@@ -6,6 +6,26 @@ A budget meter is installed per top-level Groebner computation unless the
 caller scopes one explicitly with reduction_budget(); nested computations
 (saturation, intersection, dimension) share the ambient meter.
 
+Step accounting: one step is one reduction of a leading term, in the
+S-pair loop or in an interreduction, and nothing else is charged. An
+answer known without reducing charges none, and each leaves every
+reduced basis as it is, since a reduced basis is unique:
+
+- generators equal after scaling are kept once, and a constant one makes
+  the basis (1), before the first interreduction;
+- an interreduced input whose leading monomials are pairwise coprime is
+  the reduced basis (Buchberger's first criterion);
+- before the last interreduction, an element whose leading monomial
+  another's divides is dropped: it reduces to 0 on the Groebner basis,
+  and the others are still one, a minimal basis (Becker and Weispfenning,
+  Groebner Bases, ch. 5);
+- Ideal.contains(f) is True at once when f is a constant multiple of a
+  generator;
+- inside groebner_memo(), a basis whose generators' presolve over every
+  variable, and the basis of its rest, are already kept starts from the
+  solving generators and that basis (see presolve), and an equal request
+  is answered from the memo.
+
 The kernel works on packed monomials (polyring.Packing): each exponent
 tuple is one int laid out for the ring's order, so comparing monomials
 compares ints, multiplying them adds ints, and a divisibility test is one
@@ -52,8 +72,9 @@ the elimination ideal (Cox, Little and O'Shea, Ideals, Varieties, and
 Algorithms, ch. 3 sec. 1). Ideal.eliminate substitutes away only dropped
 variables; is_trivial and krull_dimension substitute any variable, and
 only when the ideal has no cached basis. groebner(), contains,
-normal_form and canonical_key never presolve, so every reduced basis an
-ideal reports is its own.
+normal_form and canonical_key never substitute, so every reduced basis an
+ideal reports is its own; groebner() only starts, inside a memo, from
+generators of the same ideal that a presolve left.
 
 Inside groebner_memo() each pure result is computed once, keyed by
 values, never by object ids (an id is reused once its object is freed):
@@ -425,10 +446,30 @@ def _share_storage(
 def groebner(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis (monic, interreduced, ascending leading terms),
     from the open groebner_memo() when it holds an equal generator list."""
-    gens = [g for g in gens if not g.is_zero()]
+    gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
         return ()
-    return remembered(("groebner", gens[0].ring, tuple(gens)), _reduced_basis, gens)
+    ring = gens[0].ring
+    return remembered(("groebner", ring, gens), _seeded_basis, ring, gens)
+
+
+def _seeded_basis(ring: PolynomialRing, gens: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
+    """The reduced basis of gens. When the open groebner_memo() holds their
+    presolve over every variable and the reduced basis of its rest, it is
+    computed from the solving generators and that basis, which generate
+    the same ideal (see presolve)."""
+    memo = _active_memo.get()
+    done = memo.get(("presolve", ring, gens, ring.names)) if memo else None
+    if done is not None:
+        rest, solved, solving = done
+        # a rest of () or (1), as every solved variable leaves, is its own basis
+        if not rest or len(solved) == ring.nvars:
+            basis = rest
+        else:
+            basis = memo.get(("groebner", ring, rest))
+        if basis is not None:
+            gens = solving + basis
+    return _reduced_basis(gens)
 
 
 def _reduced_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
@@ -455,7 +496,15 @@ def _buchberger(gens: list[dict], packing: Packing) -> list[dict]:
     """The reduced basis of the packed generators, as packed terms."""
     zero, unpack = packing.zero, packing.unpack
     unit = [{zero: 1}]
-    basis = _interreduced([_Elem(_monic(g), packing) for g in gens], packing)
+    # a generator equal to an earlier one after scaling would only be
+    # reduced to 0 by it, and a constant one makes the ideal (1)
+    monic: list[dict] = []
+    for g in map(_monic, gens):
+        if g not in monic:
+            monic.append(g)
+    if unit[0] in monic:
+        return unit
+    basis = _interreduced([_Elem(g, packing) for g in monic], packing)
     if any(g.lm == zero for g in basis):
         return unit
     lead = [unpack(g.lm) for g in basis]
@@ -515,18 +564,31 @@ def _buchberger(gens: list[dict], packing: Packing) -> list[dict]:
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)
+    # the leading monomials are pairwise distinct: those of the interreduced
+    # input are, and each remainder's is divisible by no earlier one. An
+    # element whose leading monomial another's divides reduces to 0 on the
+    # Groebner basis, and the others are still one (a minimal basis)
+    basis = [
+        g
+        for g in basis
+        if not any(h is not g and not (sign * g.lm + h.probe) & mask for h in basis)
+    ]
     return [g.terms for g in _interreduced(basis, packing)]
 
 
 # -- presolve -------------------------------------------------------------------
 
 
+Presolved = tuple[tuple[Polynomial, ...], tuple[str, ...], tuple[Polynomial, ...]]
+
+
 def presolve(
     ring: PolynomialRing, gens: tuple[Polynomial, ...], allowed: tuple[str, ...]
-) -> tuple[tuple[Polynomial, ...], tuple[str, ...]]:
-    """(rest, solved): gens with each variable of allowed that a generator
-    solves substituted away, and those variables in the order they were
-    solved; from the open groebner_memo() when it holds an equal request.
+) -> Presolved:
+    """(rest, solved, solving): gens with each variable of allowed that a
+    generator solves substituted away, those variables in the order they
+    were solved, and the generator that solved each, as it was when it
+    did; from the open groebner_memo() when it holds an equal request.
 
     A generator solves v when v occurs in exactly one of its terms, and
     that term is c*v: the generator is c*v + h with h free of v. It is
@@ -534,23 +596,26 @@ def presolve(
     solves a variable of allowed. The rest then generate, in the ring
     without the solved variables, the ideal that the graph isomorphism
     v -> -h/c carries the input to. A nonzero constant in the rest makes
-    it (1).
+    it (1). A substitution subtracts from each generator a multiple of
+    c*v + h, so solving and rest together generate the ideal of gens.
     """
     return remembered(("presolve", ring, gens, allowed), _presolve, ring, gens, allowed)
 
 
 def _presolve(
     ring: PolynomialRing, gens: tuple[Polynomial, ...], allowed: tuple[str, ...]
-) -> tuple[tuple[Polynomial, ...], tuple[str, ...]]:
+) -> Presolved:
     free = [ring.index(n) for n in allowed]
     rest = list(gens)
     solved: list[str] = []
+    solving: list[Polynomial] = []
     while free:
         found = _solving(rest, free)
         if found is None:
             break
         k, i = found
         g = rest.pop(k)
+        solving.append(g)
         unit = tuple(int(j == i) for j in range(ring.nvars))
         c = g.terms[unit]
         image = Polynomial._new(
@@ -564,8 +629,8 @@ def _presolve(
         solved.append(ring.names[i])
         free.remove(i)
         if any(p.is_constant() for p in rest):
-            return (ring.one(),), tuple(solved)
-    return tuple(rest), tuple(solved)
+            return (ring.one(),), tuple(solved), tuple(solving)
+    return tuple(rest), tuple(solved), tuple(solving)
 
 
 def _solving(gens: Sequence[Polynomial], free: list[int]) -> tuple[int, int] | None:
@@ -642,7 +707,13 @@ class Ideal:
         return normal_form(f, self.groebner())
 
     def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+        """Membership, True without a basis or a reduction when f is a
+        constant multiple of a generator."""
+        if f.ring != self.ring:
+            raise RingMismatchError("polynomial lives in a different ring")
+        if any(_multiple_of(f, g) for g in self.gens):
+            return True
+        return normal_form(f, self.groebner()).is_zero()
 
     def is_trivial(self) -> bool:
         """Whether the ideal is (1), read from the cached basis when there
@@ -710,7 +781,7 @@ class Ideal:
         ordered_drop = tuple(n for n in self.ring.names if n in dropset)
         # a dropped variable a generator solves is substituted away first:
         # the graph isomorphism keeps the relations among the kept variables
-        gens, solved = presolve(self.ring, self.gens, ordered_drop)
+        gens, solved, _ = presolve(self.ring, self.gens, ordered_drop)
         target = PolynomialRing(kept)
         ordered_drop = tuple(n for n in ordered_drop if n not in solved)
         if not ordered_drop:
@@ -842,7 +913,7 @@ class Ideal:
         need no basis."""
         if self._gb is not None:
             return self._gb, 0
-        gens, solved = presolve(self.ring, self.gens, self.ring.names)
+        gens, solved, _ = presolve(self.ring, self.gens, self.ring.names)
         if not solved:
             return self.groebner(), 0
         if len(solved) == self.ring.nvars:
@@ -891,6 +962,16 @@ class Ideal:
             for e in itertools.product(*(range(b) for b in bounds))
             if not any(exp_divides(lm, e) for lm in lms)
         ]
+
+
+def _multiple_of(f: Polynomial, g: Polynomial) -> bool:
+    """Whether f is a constant multiple of g, which is nonzero: the same
+    monomials, with coefficients in one ratio."""
+    if f.terms.keys() != g.terms.keys():
+        return False
+    m = next(iter(g.terms))
+    a, b = f.terms[m], g.terms[m]
+    return all(c * b == a * g.terms[e] for e, c in f.terms.items())
 
 
 def _hitting_number(supports: set[int]) -> int:

@@ -12,6 +12,7 @@ from singpair.errors import (
     ExactDivisionError,
     ExponentOverflowError,
     NotZeroDimensionalError,
+    RingMismatchError,
 )
 from singpair.ideals import (
     _charge,
@@ -201,9 +202,10 @@ def test_vector_space_dimension():
 
 
 def test_budget_exhaustion_raises():
+    # the basis takes 16 steps
     with pytest.raises(BudgetExceededError):
         with reduction_budget(3):
-            Ideal.parse(R3, "x^3 - 2*x*y; x^2*y - 2*y^2 + x").groebner()
+            Ideal.parse(R3, "x^2 + y*z - 1; x*y - z^2; y^3 - x").groebner()
 
 
 def test_budget_scope_restores():
@@ -441,13 +443,22 @@ def test_standard_systems_take_pinned_step_counts(system, steps, dim, roots):
         assert ideal.vector_space_dimension() == roots
 
 
-def reference_buchberger(gens):
+def reference_buchberger(gens, minimal=True):
     """Buchberger with the normal strategy under every order: the pair with
-    the smallest lcm first, ties broken by (i, j); otherwise as the kernel.
-    It runs on exponent tuples and shares no code with the packed kernel."""
+    the smallest lcm first, ties broken by (i, j); otherwise as the kernel,
+    which drops repeated generators, answers (1) for a constant one and,
+    unless minimal is False, drops every element whose leading monomial
+    another's divides before the last interreduction. It runs on exponent tuples and shares no code with the
+    packed kernel."""
     ring = gens[0].ring
     key = ring.order.sort_key
-    basis = list(reference_interreduce(gens)[0])
+    distinct = []
+    for g in gens:
+        if g.monic() not in distinct:
+            distinct.append(g.monic())
+    if any(g.is_constant() for g in distinct):
+        return (ring.one(),)
+    basis = list(reference_interreduce(distinct)[0])
     if any(g.is_constant() for g in basis):
         return (ring.one(),)
     lead = [g.leading_monomial() for g in basis]
@@ -487,16 +498,26 @@ def reference_buchberger(gens):
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)
+    if minimal:
+        basis = [
+            g
+            for i, g in enumerate(basis)
+            if not any(k != i and exp_divides(lead[k], lead[i]) for k in range(len(basis)))
+        ]
     return reference_interreduce(basis)[0]
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)
 def test_groebner_matches_normal_strategy_reference(order):
     # a reduced basis is unique, so the pair order may shorten the path to it
-    # but never change it; under grevlex the pair order is the reference's
+    # but never change it; under grevlex the pair order is the reference's.
+    # An element whose leading monomial another's divides reduces to 0 on a
+    # Groebner basis, so a minimal basis leaves the reduced basis as it is
+    # and saves the steps of that reduction; the others then lose it as a
+    # divisor, which can cost a few steps
     rng = random.Random(f"gb-{order}")
     ring = PolynomialRing(("a", "b", "c"), order)
-    steps = 0
+    steps = saved = 0
     for _ in range(30):
         gens = [random_poly(rng, ring, rng.randint(1, 4), 2) for _ in range(rng.randint(2, 3))]
         gens = [g for g in gens if not g.is_zero()]
@@ -506,17 +527,52 @@ def test_groebner_matches_normal_strategy_reference(order):
             got = groebner(gens)
         with reduction_budget(10**6) as old_meter:
             want = reference_buchberger(gens)
+        with reduction_budget(10**6) as whole:
+            assert reference_buchberger(gens, minimal=False) == want
         assert got == want
         assert [list(g.terms) for g in got] == [list(g.terms) for g in want]
         if order.degree_compatible:
             assert new_meter.used == old_meter.used
         steps += old_meter.used
-    assert steps > 100
+        saved += whole.used - old_meter.used
+    assert steps > 100 and saved > 0
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_repeated_generators_give_the_basis_without_them(order):
+    # generators equal after scaling are dropped before the first
+    # interreduction: the kernel takes the path of the list without them
+    rng = random.Random(f"repeated-{order}")
+    ring = PolynomialRing(("a", "b", "c"), order)
+    for _ in range(20):
+        gens = [random_poly(rng, ring, rng.randint(1, 4), 2) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        repeated = gens + [g * Fraction(rng.choice((-3, 2)), rng.choice((1, 5))) for g in gens]
+        rng.shuffle(repeated)
+        once = []
+        for g in repeated:
+            if g.monic() not in [h.monic() for h in once]:
+                once.append(g)
+        with reduction_budget(10**6) as meter:
+            got = groebner(repeated)
+        with reduction_budget(10**6) as plain:
+            want = groebner(once)
+        assert got == want and meter.used == plain.used
+        assert [list(g.terms) for g in got] == [list(g.terms) for g in want]
+
+
+def test_a_constant_generator_gives_the_unit_ideal_without_a_step():
+    gens = [R3.parse("x^2 + y*z - 1"), R3.const(Fraction(3, 2)), R3.parse("x*y - z^2")]
+    with reduction_budget(10**6) as meter:
+        assert groebner(gens) == (R3.one(),)
+    assert meter.used == 0
 
 
 def test_elimination_order_takes_pinned_step_count():
-    # katsura-3 under elim(2) takes 181 steps by sugar; the normal strategy
-    # of the reference takes 256 to the same basis
+    # katsura-3 under elim(2) takes 140 steps by sugar; the normal strategy
+    # of the reference takes 204 to the same basis
     ring, gens = katsura(3)
     ring = ring.with_order(MonomialOrder.elim(2))
     gens = [g.in_ring(ring) for g in gens]
@@ -524,8 +580,8 @@ def test_elimination_order_takes_pinned_step_count():
         gb = groebner(gens)
     with reduction_budget(10**6) as old_meter:
         assert reference_buchberger(gens) == gb
-    assert meter.used == 181
-    assert old_meter.used == 256
+    assert meter.used == 140
+    assert old_meter.used == 204
 
 
 def coprime_lead_input(rng, ring):
@@ -1020,8 +1076,8 @@ def test_presolved_questions_match_the_raw_elimination_reference():
         dim = reference_dimension_or_none(ideal)
         assert Ideal(ring, ideal.gens).dimension_or_none() == dim, ideal
         assert Ideal(ring, ideal.gens).is_trivial() == (dim is None), ideal
-        _, solved = ideals.presolve(ring, ideal.gens, ring.names)
-        _, dropped = ideals.presolve(ring, ideal.gens, tuple(n for n in ring.names if n in drop))
+        _, solved, _ = ideals.presolve(ring, ideal.gens, ring.names)
+        _, dropped, _ = ideals.presolve(ring, ideal.gens, tuple(n for n in ring.names if n in drop))
         if len(solved) == ring.nvars:
             seen.add("all solved")
         if dim is None:
@@ -1039,15 +1095,66 @@ def test_presolved_questions_match_the_raw_elimination_reference():
 def test_presolve_solves_only_a_variable_in_one_term():
     a, b, c = R3.gens()
     # x occurs twice in the first generator, so only the second solves one
-    rest, solved = ideals.presolve(R3, (a + a * b - 1, b - 2 * c), R3.names)
+    rest, solved, solving = ideals.presolve(R3, (a + a * b - 1, b - 2 * c), R3.names)
     assert solved == ("y",) and rest == (a + 2 * a * c - 1,)
+    assert solving == (b - 2 * c,)
     # z := -x^2*y first, then the value of x into its square; the constant
-    # left makes the rest (1)
-    rest, solved = ideals.presolve(R3, (a**2 * b + c, a - 1, b + 1, c - 2), R3.names)
+    # left makes the rest (1). Each solving generator is kept as it was
+    # when it solved, after the substitutions before it
+    rest, solved, solving = ideals.presolve(R3, (a**2 * b + c, a - 1, b + 1, c - 2), R3.names)
     assert solved == ("z", "x", "y") and rest == (R3.one(),)
+    assert solving == (a**2 * b + c, a - 1, b + 1)
     # only the allowed variables are substituted away
-    rest, solved = ideals.presolve(R3, (a - b**2, c - a * b), ("x",))
-    assert solved == ("x",) and rest == (c - b**3,)
+    rest, solved, solving = ideals.presolve(R3, (a - b**2, c - a * b), ("x",))
+    assert solved == ("x",) and rest == (c - b**3,) and solving == (a - b**2,)
+
+
+@pytest.mark.hashseed
+def test_basis_after_a_presolved_question_matches_the_basis_outside_a_memo():
+    # is_trivial and dimension_or_none leave the presolve and the basis of
+    # its rest in the memo; a later basis of the same generators starts
+    # from the solving generators and that basis, and is the same. Started
+    # there, these bases take fewer steps in all, though not each of them
+    rng = random.Random("seeded")
+    seeded = plain_steps = seeded_steps = 0
+    for k in range(150):
+        names = ["a", "b", "c"]
+        rng.shuffle(names)
+        ring = PolynomialRing(tuple(names), rng.choice((MonomialOrder.grevlex(), MonomialOrder.lex())))
+        ideal = presolve_input(rng, ring)
+        with reduction_budget(10**6) as plain:
+            want = Ideal(ring, ideal.gens).groebner()
+        with ideals.groebner_memo() as memo:
+            fresh = Ideal(ring, ideal.gens)
+            fresh.is_trivial() if k % 2 else fresh.dimension_or_none()
+            solving = memo[("presolve", ring, ideal.gens, ring.names)][2]
+            # without a solved variable the question asked for the basis itself
+            assert (("groebner", ring, ideal.gens) in memo) == (not solving)
+            with reduction_budget(10**6) as meter:
+                got = Ideal(ring, ideal.gens).groebner()
+        assert got == want, ideal
+        if solving:
+            seeded += 1
+            plain_steps += plain.used
+            seeded_steps += meter.used
+    assert seeded > 50 and seeded_steps < plain_steps
+
+
+def test_a_multiple_of_a_generator_is_contained_without_a_step():
+    ideal = Ideal.parse(R3, "x^2 + y*z - 1; x*y - z^2; y^3 - x")
+    with reduction_budget(10**6) as meter:
+        assert ideal.contains(R3.parse("x*y - z^2") * Fraction(-3, 2))
+        assert ideal.contains(R3.parse("y^3 - x") * 4)
+    assert meter.used == 0 and ideal._gb is None
+    # the same monomials in another ratio are reduced on the basis
+    with reduction_budget(10**6) as meter:
+        assert not ideal.contains(R3.parse("x*y + z^2"))
+    assert meter.used > 0
+    # a polynomial of another ring raises before any certificate is read
+    other = PolynomialRing(("u", "v", "w"))
+    foreign = Polynomial(other, R3.parse("x*y - z^2").terms)
+    with pytest.raises(RingMismatchError):
+        ideal.contains(foreign)
 
 
 def test_empty_variety_error_names_the_ideal_asked_about():
