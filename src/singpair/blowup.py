@@ -11,12 +11,13 @@ by a ratio variable (named by appending p), keeping chart rings small.
 Unsolvable generators keep an explicit graph relation with a fresh ratio
 variable instead.
 
-Charts remember their full lineage, along which proper_transform moves
-cycles, families and each next center up the tower step by step; their
-accumulated ownership constraints (a point on a chart overlap is owned by
-the first chart that sees it; ownership means all earlier-pivot ratio
-coordinates vanish); and bindings that express the input coordinates in
-chart variables, which is what blowdown images and pushforwards use.
+Charts remember their full lineage, along which the strict transform moves
+their relations, cycles, families and each next center up the tower step
+by step (proper_transform); their accumulated ownership constraints (a
+point on a chart overlap is owned by the first chart that sees it;
+ownership means all earlier-pivot ratio coordinates vanish); and bindings
+that express the input coordinates in chart variables, which is what
+blowdown images and pushforwards use.
 """
 
 from __future__ import annotations
@@ -41,20 +42,7 @@ class LineageStep:
 
     center is the reduced basis of the step's center on the parent chart,
     the chart the step started from; every pivot chart of the step shares
-    it. It decides once for all of them whether a transported ideal I
-    misses the center, that is, whether J + (e) is the unit ideal on a
-    pivot chart, for J the pull-back of I with the graph relations and e
-    the exceptional. The two questions have the same answer:
-
-    - if I + C is the unit ideal on the parent, so is J + (e): a solved
-      center generator becomes a unit times e, and an unsolved one g_j
-      keeps its graph relation g_j - r_j*e, so J + (e) contains the
-      pull-back of I + C;
-    - if some point p lies in V(I) and V(C), its fiber in every pivot
-      chart is the whole affine space of the ratio coordinates, on which
-      J and e vanish, so J + (e) is not the unit ideal.
-
-    Passenger variables change neither argument (Fulton, Intersection
+    it. Off the center the blowup is an isomorphism (Fulton, Intersection
     Theory, App. B.6).
 
     pivot is the index in center of the generator whose pull-back is the
@@ -154,9 +142,9 @@ def proper_transform(
 
     Each blowup step rewrites the generators through the step's substitution,
     adds the step's graph relations, and saturates by the exceptional; this is
-    how cycles, families and the centers of later blowups travel up the
-    tower. Names in extra ride along unchanged (used for a family parameter
-    living on the base times a line). Inside ideals.groebner_memo() each
+    how chart relations, cycles, families and the centers of later blowups
+    travel up the tower. Names in extra ride along unchanged (used for a
+    family parameter living on the base times a line). Inside ideals.groebner_memo() each
     step is done once, so sibling charts and prefix towers share the steps
     of the lineage they share.
     """
@@ -191,36 +179,29 @@ def _is_identity(
 
 
 def _transform_step(step: LineageStep, extra: tuple[str, ...], current: Ideal) -> Ideal:
-    """One blowup step of proper_transform."""
+    """One blowup step of proper_transform, and of a pivot chart's relations."""
     target = PolynomialRing(step.ring.names + extra) if extra else step.ring
-    if current.is_trivial():
-        return Ideal(target, (target.one(),))
     move = {k: v.in_ring(target) for k, v in step.substitution_map().items()}
     moved = tuple(g.substitute(move, target) for g in current.gens)
     moved += tuple(g.in_ring(target) for g in step.graph)
-    return Ideal(target, moved).saturate(
-        step.exceptional.in_ring(target), misses=lambda: _step_misses(step, current)
-    )
-
-
-def _step_misses(step: LineageStep, current: Ideal) -> bool:
-    """_misses(current, step.center), asked once per run memo."""
-    key = ("misses", step.center, current.ring, current.gens)
-    return remembered(key, _misses, current, step.center)
+    return Ideal(target, moved).saturate(step.exceptional.in_ring(target))
 
 
 def _misses(current: Ideal, center: tuple[Polynomial, ...]) -> bool:
     """Whether current + center is the unit ideal on the parent chart's
-    ring (with current's passengers): see LineageStep."""
+    ring (with current's passengers)."""
     return current.plus(g.in_ring(current.ring) for g in center).is_trivial()
 
 
 def misses_center(chart: Chart, ideal: Ideal) -> bool:
     """Whether the proper transform of an input-coordinate ideal to the
     parent of a pivot chart misses the center of the step that made the
-    chart: the answer that the step's pivot charts share, from the run
-    memo when a strict transform already asked it."""
-    return _step_misses(chart.lineage[-1], proper_transform(chart.parent, ideal))
+    chart: the answer that the step's pivot charts share, asked once per
+    run memo."""
+    center = chart.lineage[-1].center
+    current = proper_transform(chart.parent, ideal)
+    key = ("misses", center, current.ring, current.gens)
+    return remembered(key, _misses, current, center)
 
 
 def _ratio_name(base: str, taken: set[str]) -> str:
@@ -291,21 +272,19 @@ def _pivot_chart(
         return p.substitute(subs, ring)
 
     exceptional = gens[pivot]
-    graph_new = tuple(gens[j] - ring.var(ratio[j]) * exceptional for j in unsolved)
-    total = [carry(g) for g in leaf.relations.gens]
-    total.extend(graph_new)
-    relations = Ideal(ring, tuple(total)).saturate(exceptional)
-    ownership_new = tuple(ring.var(ratio[j]) for j in sorted(ratio) if j < pivot)
     step = LineageStep(
         ring=ring,
         substitution=tuple(sorted(subs.items())),
-        graph=graph_new,
+        graph=tuple(gens[j] - ring.var(ratio[j]) * exceptional for j in unsolved),
         exceptional=exceptional,
         center=center,
         pivot=pivot,
         ratios=tuple((ratio[j], j) for j in sorted(ratio)),
         step=index,
     )
+    key = ("transform", step, (), leaf.relations.gens)
+    relations = remembered(key, _transform_step, step, (), leaf.relations)
+    ownership_new = tuple(ring.var(ratio[j]) for j in sorted(ratio) if j < pivot)
     return Chart(
         name=f"{leaf.name}/s{index + 1}p{pivot}",
         ring=ring,

@@ -37,7 +37,7 @@ class Perversity:
         if not self.values:
             raise PerversityError("a perversity needs at least one entry")
         for v in self.values:
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise PerversityError(f"perversity entries are nonnegative integers, got {v!r}")
 
     @staticmethod

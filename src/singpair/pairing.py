@@ -494,8 +494,8 @@ def compare_towers(
         [tuple(str(g) for g in step) for step in strat.tower.steps]
         for strat in strats
     ]
-    for later in histories[1:]:
-        short, long = sorted((histories[0], later), key=len)
+    for first, second in combinations(histories, 2):
+        short, long = sorted((first, second), key=len)
         if long[: len(short)] != short:
             raise ValueError(
                 "towers do not refine one another: their blowup steps diverge"

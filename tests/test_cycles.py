@@ -97,6 +97,14 @@ class TestPerversity:
         with pytest.raises(PerversityError):
             Perversity((0, -1))
 
+    def test_rejects_bool_entries(self):
+        # True is an int to isinstance, but "True,False" reads back as no
+        # perversity
+        with pytest.raises(PerversityError, match="True"):
+            Perversity((True, False))
+        with pytest.raises(PerversityError, match="False"):
+            Perversity((0, False))
+
 
 class TestPerversityCheck:
     def test_slice_passes_zero_on_coarse(self):

@@ -255,6 +255,22 @@ class TestCompareTowers:
             compare_towers(divisor(), alpha0(), [coarse(), strat],
                            allow_noncomplementary=True)
 
+    def test_every_pair_of_towers_must_refine(self):
+        # both later towers refine the first, blowing up the origin of the
+        # plane, but not each other: one blows up (0, 1) next, the other (1, 0)
+        def plane(*centers):
+            tower = ResolutionTower.affine(PLANE, ())
+            for center in centers:
+                tower.blow_up(tuple(Ideal.parse(PLANE, center).gens))
+            return Stratification(tower, rules=("images",))
+
+        a = Cycle("h", Ideal.parse(PLANE, "y - 2"), Perversity.zero(2))
+        b = Cycle("v", Ideal.parse(PLANE, "x - 2"), Perversity.top(2))
+        towers = [plane("x; y"), plane("x; y", "x; y - 1"), plane("x; y", "x - 1; y")]
+        for strats in (towers, towers[1:], towers[::-1]):
+            with pytest.raises(ValueError, match="diverge"):
+                compare_towers(a, b, strats)
+
 
 class TestPlanePairs:
     def test_lines_off_the_center_pair_cleanly(self):

@@ -12,13 +12,15 @@ from singpair import blowup, ideals, pairing
 from singpair import factor as factor_module
 from singpair.blowup import ResolutionTower, proper_transform
 from singpair.cli import Flags, exit_code, main, run_tasks
+from singpair.cycles import Cycle, Perversity
 from singpair.errors import BudgetExceededError, ImproperIntersectionError, ScenarioError
 from singpair.factor import factor
 from singpair.geometry import singular_locus
 from singpair.ideals import Ideal
-from singpair.pairing import intersect_on_chart, transform_cycle
+from singpair.pairing import intersect_on_chart, pair, transform_cycle
 from singpair.polyring import Polynomial, PolynomialRing
 from singpair.scenario import Workspace, parse_scenario, validate_scenario
+from singpair.strata import Stratification
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "singpair" / "corpus"
 
@@ -549,15 +551,21 @@ class TestTransformMemo:
     charts share the steps of their common lineage."""
 
     @staticmethod
-    def siblings():
+    def tower():
         # blow up the origin of the plane, then the point (0, 1) on one chart
         ring = PolynomialRing(("x", "y"))
         tower = ResolutionTower.affine(ring, ())
         tower.blow_up((ring.parse("x"), ring.parse("y")))
         tower.blow_up((ring.parse("x"), ring.parse("y - 1")))
+        return tower
+
+    @classmethod
+    def siblings(cls, tower=None):
+        if tower is None:
+            tower = cls.tower()
         first, second = [c for c in tower.leaves if c.name.startswith("aff/s1p0/")]
         assert first.lineage[0] is second.lineage[0]
-        return first, second, Ideal.parse(ring, "x - y")
+        return first, second, Ideal.parse(tower.input_ring, "x - y")
 
     def test_sibling_charts_reuse_the_first_step(self, monkeypatch):
         first, second, line = self.siblings()
@@ -568,21 +576,44 @@ class TestTransformMemo:
         assert inside == outside
         assert steps == [first.lineage[0], first.lineage[1], second.lineage[1]]
 
-    def test_sibling_charts_share_one_miss_answer(self, monkeypatch):
-        # the point (2, 3) misses both centers; on every chart its transform
-        # has two generators and the exceptional's leading variable in its
-        # basis, so each step asks whether it misses the step's center: once
-        # per parent chart inside the memo, once per pivot chart outside
+    def test_a_strict_transform_never_asks_whether_it_misses_a_center(self, monkeypatch):
+        # the point (2, 3) misses both centers; each step saturates by the
+        # exceptional on the pivot chart, with no answer from the parent
         first, second, line = self.siblings()
         point = Ideal.parse(line.ring, "x - 2; y - 3")
         misses = _counting(monkeypatch, blowup, "_misses")
         outside = [proper_transform(c, point) for c in (first, second)]
-        assert len(misses) == 4
-        misses.clear()
         with ideals.groebner_memo():
             inside = [proper_transform(c, point) for c in (first, second)]
         assert inside == outside
-        assert [current.ring for current in misses] == [line.ring, first.parent.ring]
+        assert misses == []
+
+    def test_sibling_charts_share_one_miss_answer(self, monkeypatch):
+        # the lines y = 2 and x = 2 meet at (2, 2), off both centers, and the
+        # first line misses each center on its parent chart, so pair carries
+        # the point onto every leaf. Both siblings ask about the second step
+        # on their common parent, and aff/s1p1 about the first step on aff
+        # as aff/s1p0 does: inside the memo the answer is computed once per
+        # parent chart and ideal
+        tower = self.tower()
+        first, second, line = self.siblings(tower)
+        a = Cycle("A", Ideal.parse(line.ring, "y - 2"), Perversity.zero(2))
+        b = Cycle("B", Ideal.parse(line.ring, "x - 2"), Perversity.top(2))
+        strat = Stratification(tower, rules=())
+        asked = _counting(monkeypatch, pairing, "misses_center")
+        misses = _counting(monkeypatch, blowup, "_misses")
+        outside = pair(a, b, strat, check_perversity=False)
+        assert len(misses) == len(asked) == 4
+        asked.clear()
+        misses.clear()
+        with ideals.groebner_memo():
+            inside = pair(a, b, strat, check_perversity=False)
+        assert inside == outside and inside["degree"] == 1
+        assert sorted(c.name for c in asked) == sorted(
+            ["aff/s1p0", "aff/s1p1", first.name, second.name]
+        )
+        rings = sorted(current.ring.names for current in misses)
+        assert rings == sorted([line.ring.names, first.parent.ring.names])
 
     def test_a_step_that_runs_out_of_budget_stores_nothing(self):
         first, _, line = self.siblings()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from singpair.blowup import ResolutionTower, graph_ideal
+from singpair.blowup import ResolutionTower, graph_ideal, proper_transform
 from singpair.factor import coefficients_in
 from singpair.ideals import Ideal
 from singpair.polyring import PolynomialRing
@@ -346,6 +346,24 @@ TOWERS = {
     "projective_lines": lambda: [projective_lines_tower()],
     "umbrella": lambda: [umbrella_tower()],
 }
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("case", sorted(TOWERS))
+def test_chart_relations_are_the_strict_transform_of_the_input(case):
+    # every chart of every tower, leaves and the charts they were made from,
+    # projective patches included: its relations are what proper_transform
+    # makes of the input relations along its lineage
+    checked = 0
+    for tower in TOWERS[case]():
+        base = Ideal(tower.input_ring, tower.input_relations)
+        for leaf in tower.leaves:
+            chart = leaf
+            while chart is not None:
+                assert chart.relations == proper_transform(chart, base), (case, chart.name)
+                checked += 1
+                chart = chart.parent
+    assert checked > 0
 
 
 def eliminated_homes(tower: ResolutionTower) -> dict[str, dict[tuple[str, int], object]]:
