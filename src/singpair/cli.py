@@ -333,8 +333,8 @@ def _print_report(report: dict) -> None:
               f"[{row['ms']} ms, {row['counters']['reduction_steps']} steps]")
 
 
-def _write_json(report: dict, path: str) -> None:
-    slim = {
+def _slim(report: dict) -> dict:
+    return {
         "scenario": report["scenario"],
         "version": report["version"],
         "elapsed_ms": report["elapsed_ms"],
@@ -343,7 +343,17 @@ def _write_json(report: dict, path: str) -> None:
             for row in report["tasks"]
         ],
     }
-    Path(path).write_text(json.dumps(slim, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_json(data: dict, path: str) -> bool:
+    """Write data to path as indented JSON; False, after a message on
+    stderr, when the path cannot be written."""
+    try:
+        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as e:
+        print(f"{path}: cannot write: {e}", file=sys.stderr)
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,8 +387,8 @@ def _validate(path: Path, json_path: str | None) -> int:
             "version": __version__,
             "diagnostics": [{"line": d.line, "message": d.message} for d in diags],
         }
-        Path(json_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+        if not _write_json(report, json_path):
+            return 2
     return 2 if diags else 0
 
 
@@ -403,8 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     report = run_tasks(scenario, flags, None if args.command == "run" else args.command)
     _print_report(report)
-    if args.json:
-        _write_json(report, args.json)
+    if args.json and not _write_json(_slim(report), args.json):
+        return 2
     return exit_code(report)
 
 

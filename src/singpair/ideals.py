@@ -20,7 +20,17 @@ reduced basis as it is, since a reduced basis is unique:
   and the others are still one, a minimal basis (Becker and Weispfenning,
   Groebner Bases, ch. 5);
 - Ideal.contains(f) is True at once when f is a constant multiple of a
-  generator;
+  generator. Without a cached basis, on an ideal that presolve over
+  every variable solves outright, it is decided by substituting the
+  solved variables into f: such an ideal is the graph of a polynomial
+  map, so it is prime and the quotient ring is the polynomial ring of
+  the unsolved variables;
+- Ideal.radical_contains(f) is Ideal.contains(f) on an ideal that is its
+  own radical by a certificate: it is such a graph, or every leading
+  monomial of its reduced basis is squarefree;
+- Ideal.saturate(f), for f of degree 1, returns the ideal J of
+  generators stripped of their powers of f when J is such a graph and f
+  is not in it, since J : f^infinity = J for a prime J without f;
 - inside groebner_memo(), a basis whose generators' presolve over every
   variable, and the basis of its rest, are already kept starts from the
   solving generators and that basis (see presolve), and an equal request
@@ -70,11 +80,12 @@ isomorphism between V(I) and the zero set of the rest in the space
 without v, so it keeps the dimension and emptiness, and for a dropped v
 the elimination ideal (Cox, Little and O'Shea, Ideals, Varieties, and
 Algorithms, ch. 3 sec. 1). Ideal.eliminate substitutes away only dropped
-variables; is_trivial and krull_dimension substitute any variable, and
-only when the ideal has no cached basis. groebner(), contains,
-normal_form and canonical_key never substitute, so every reduced basis an
-ideal reports is its own; groebner() only starts, inside a memo, from
-generators of the same ideal that a presolve left.
+variables; is_trivial, krull_dimension and contains substitute any
+variable, and only when the ideal has no cached basis (contains only
+when no generator is left). groebner(), normal_form and canonical_key
+never substitute, so every reduced basis an ideal reports is its own;
+groebner() only starts, inside a memo, from generators of the same ideal
+that a presolve left.
 
 Inside groebner_memo() each pure result is computed once, keyed by
 values, never by object ids (an id is reused once its object is freed):
@@ -619,12 +630,7 @@ def _presolve(
         k, i = found
         g = rest.pop(k)
         solving.append(g)
-        unit = tuple(int(j == i) for j in range(ring.nvars))
-        c = g.terms[unit]
-        image = Polynomial._new(
-            ring, {m: _quotient(-d, c) for m, d in g.terms.items() if m != unit}
-        )
-        binding = {ring.names[i]: image}
+        binding = {ring.names[i]: _solution(g, i)}
         rest = [
             p.substitute(binding, ring) if any(m[i] for m in p.terms) else p for p in rest
         ]
@@ -634,6 +640,29 @@ def _presolve(
         if any(p.is_constant() for p in rest):
             return (ring.one(),), tuple(solved), tuple(solving)
     return tuple(rest), tuple(solved), tuple(solving)
+
+
+def _solution(g: Polynomial, i: int) -> Polynomial:
+    """-h/c for a generator g = c*v + h that solves the variable v of
+    index i."""
+    unit = tuple(int(j == i) for j in range(g.ring.nvars))
+    c = g.terms[unit]
+    return Polynomial._new(g.ring, {m: _quotient(-d, c) for m, d in g.terms.items() if m != unit})
+
+
+def _on_graph(
+    f: Polynomial, solved: tuple[str, ...], solving: tuple[Polynomial, ...]
+) -> Polynomial:
+    """f with each solved variable substituted away, in the order presolve
+    solved them: the image of f in the polynomial ring of the unsolved
+    variables. The solving generator of a variable is free of the
+    variables solved before it, so f ends free of every solved one."""
+    ring = f.ring
+    for name, g in zip(solved, solving):
+        i = ring.index(name)
+        if any(m[i] for m in f.terms):
+            f = f.substitute({name: _solution(g, i)}, ring)
+    return f
 
 
 def _solving(gens: Sequence[Polynomial], free: list[int]) -> tuple[int, int] | None:
@@ -711,12 +740,28 @@ class Ideal:
 
     def contains(self, f: Polynomial) -> bool:
         """Membership, True without a basis or a reduction when f is a
-        constant multiple of a generator."""
+        constant multiple of a generator. Without a cached basis, on an
+        ideal that presolve solves outright (see _graph), f is a member
+        exactly when substituting the solved variables into it leaves 0;
+        no basis is computed. Otherwise f is reduced on the basis."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         if any(_multiple_of(f, g) for g in self.gens):
             return True
+        if self._gb is None:
+            graph = self._graph()
+            if graph is not None:
+                return _on_graph(f, *graph).is_zero()
         return normal_form(f, self.groebner()).is_zero()
+
+    def _graph(self) -> tuple[tuple[str, ...], tuple[Polynomial, ...]] | None:
+        """(solved, solving) of presolve over every variable when it leaves
+        no generator, else None. The ideal is then the graph of the solved
+        variables over the others: ring/ideal is the polynomial ring of the
+        unsolved variables, a domain, so the ideal is prime (Cox, Little
+        and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 1)."""
+        rest, solved, solving = presolve(self.ring, self.gens, self.ring.names)
+        return None if rest else (solved, solving)
 
     def is_trivial(self) -> bool:
         """Whether the ideal is (1), read from the cached basis when there
@@ -727,15 +772,27 @@ class Ideal:
         return not self.groebner()
 
     def radical_contains(self, f: Polynomial) -> bool:
-        """Membership in the radical. True at once when f reduces to 0 on
-        the ideal's own basis; otherwise decided by the auxiliary-variable
-        trick, started from that basis: f is in the radical exactly when
-        1 - t*f and the ideal generate the unit ideal, that is, when the
-        Rabinowitsch saturation by f is."""
+        """Membership in the radical. True at once when the ideal contains
+        f. A non-member is outside the radical, with no further work, when
+        the ideal is its own radical by one of two certificates:
+
+        - presolve solves it outright, so it is prime (see _graph);
+        - every leading monomial of its reduced basis is squarefree. Then
+          f reduces to some r != 0 whose leading monomial lies outside
+          the initial ideal, a squarefree monomial ideal and so radical;
+          lm(r)^k = lm(r^k) stays outside, so r^k, and f^k, are not in the
+          ideal (Herzog and Hibi, Monomial Ideals, 2011).
+
+        Otherwise it is decided by the auxiliary-variable trick, started
+        from the basis: f is in the radical exactly when 1 - t*f and the
+        ideal generate the unit ideal, that is, when the Rabinowitsch
+        saturation by f is."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         if f.is_zero() or self.contains(f):
             return True
+        if self._graph() is not None or _squarefree_initial(self.groebner()):
+            return False
         return _rabinowitsch(Ideal(self.ring, self.groebner()), f).is_trivial()
 
     def variety_contained_in(self, other: "Ideal") -> bool:
@@ -822,9 +879,11 @@ class Ideal:
         For f of total degree 1, every generator is first divided by its
         highest power of f. That gives an ideal J between self and the
         saturation, so J is the saturation as soon as f is a nonzerodivisor
-        modulo J. Three certificates show it without an auxiliary variable:
+        modulo J. Four certificates show it without an auxiliary variable:
 
         - J is principal: f, of degree 1, is prime and divides no generator;
+        - presolve solves J outright, so J is prime (see _graph), and f is
+          not in J, which substitution decides without a basis;
         - the variable lm(f) occurs in no leading monomial of J's reduced
           grevlex basis: then lm(f) is a nonzerodivisor on the initial
           ideal, and so f is one on J (Eisenbud, Commutative Algebra,
@@ -962,6 +1021,11 @@ def _multiple_of(f: Polynomial, g: Polynomial) -> bool:
     return all(c * b == a * g.terms[e] for e, c in f.terms.items())
 
 
+def _squarefree_initial(basis: Sequence[Polynomial]) -> bool:
+    """Whether every leading monomial of the basis is squarefree."""
+    return all(max(g.leading_monomial(), default=0) <= 1 for g in basis)
+
+
 def _hitting_number(supports: set[int]) -> int:
     """The fewest bit positions that meet every mask in supports, none of
     them 0. A set of positions meets every mask exactly when it meets every
@@ -997,6 +1061,9 @@ def _nonzerodivisor_modulo(f: Polynomial, ideal: Ideal) -> bool:
     modulo the ideal. The ring's order is grevlex. False means no
     certificate applies, not that f is a zerodivisor."""
     if len(ideal.gens) <= 1:
+        return True
+    graph = ideal._graph()
+    if graph is not None and not _on_graph(f, *graph).is_zero():
         return True
     i = f.leading_monomial().index(1)
     if not any(g.leading_monomial()[i] for g in ideal.groebner()):

@@ -27,7 +27,7 @@ from typing import Callable
 from .blowup import ResolutionTower
 from .cycles import Cycle, CycleFamily, Perversity
 from .errors import PerversityError, PolyParseError, ScenarioError
-from .ideals import Ideal
+from .ideals import Ideal, groebner
 from .pairing import VERDICTS
 from .polyring import MonomialOrder, Polynomial, PolynomialRing
 from .strata import PRESETS, RULES, Stratification
@@ -174,6 +174,23 @@ def _gens(ring: PolynomialRing, at_least: int = 0) -> Callable[[str], tuple[Poly
         return tuple(gens)
 
     return parse
+
+
+def _center(ring: PolynomialRing) -> Callable[[str], tuple[Polynomial, ...]]:
+    """A parser of a tower step's center: `;`-separated generators in ring
+    whose reduced basis has at least two elements. A principal center is
+    refused however it is written (`x; 2*x`, `x^2; x`): its blowup changes
+    nothing, and the strict transform would drop the component it cuts
+    out."""
+    parse = _gens(ring)
+
+    def center(text: str) -> tuple[Polynomial, ...]:
+        gens = parse(text)
+        if len(groebner(gens)) < 2:
+            raise ValueError("needs at least 2 generators")
+        return gens
+
+    return center
 
 
 _REQUIRED = object()  # default of a key an entry must give
@@ -386,7 +403,7 @@ def _assemble(text: str, name: str, path: str, diags: list[Diagnostic]) -> Scena
             if ok:
                 yield n, nm, args
 
-    center: Fields = {"center": (_gens(ring, 2), _REQUIRED)}
+    center: Fields = {"center": (_center(ring), _REQUIRED)}
     steps = [(nm, args["center"]) for _, nm, args in entries("tower", center, "tower step")]
 
     strata: dict[str, dict] = {}

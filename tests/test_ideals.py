@@ -893,6 +893,9 @@ def saturation_route(ideal, f):
     J = Ideal(grevlex, stripped)
     if len(J.gens) <= 1:
         return "principal"
+    rest, _, _ = ideals.presolve(grevlex, J.gens, grevlex.names)
+    if not rest and not normal_form(f, J.groebner()).is_zero():
+        return "graph"
     i = f.leading_monomial().index(1)
     if not any(g.leading_monomial()[i] for g in J.groebner()):
         return "initial ideal"
@@ -950,7 +953,7 @@ def test_degree_one_saturation_matches_rabinowitsch_reference(order):
         assert got.groebner() == groebner(got.gens)
         route = saturation_route(ideal, f)
         routes[route] = routes.get(route, 0) + 1
-    assert set(routes) == {"principal", "initial ideal", "unit", "elimination"}
+    assert set(routes) == {"principal", "graph", "initial ideal", "unit", "elimination"}
     assert min(routes.values()) >= 5, routes
 
 
@@ -959,11 +962,15 @@ def test_each_saturation_route_on_a_worked_example():
     cases = [
         # f prime and dividing no generator left
         (Ideal(R3, (x * (y**2 - z),)), x, "principal", Ideal(R3, (y**2 - z,))),
-        # x occurs in no leading monomial of (z)
-        (Ideal(R3, (x * z, y * z)), x, "initial ideal", Ideal(R3, (z,))),
-        # y divides the first generator once; (y - 1, z*y^2 - z) + (y) is
-        # the unit ideal
-        (Ideal(R3, (y * (y - 1), z * y**2 - z)), y, "unit", Ideal(R3, (y - 1,))),
+        # x occurs in no leading monomial of (z^2)
+        (Ideal(R3, (x * z**2, y * z**2)), x, "initial ideal", Ideal(R3, (z**2,))),
+        # y divides the first generator once; presolve solves y = 1 from
+        # y - 1, which turns z*y^2 - z into 0, and y is not 1
+        (Ideal(R3, (y * (y - 1), z * y**2 - z)), y, "graph", Ideal(R3, (y - 1,))),
+        # y divides the first generator once; no generator of
+        # (y^2 - 1, z*y^2 - z) solves a variable, and with y they make the
+        # unit ideal
+        (Ideal(R3, (y * (y**2 - 1), z * y**2 - z)), y, "unit", Ideal(R3, (y**2 - 1,))),
         # (x*y, x^2 - y^2) is primary to the origin, so saturating by x
         # empties it, though x divides no generator once y is split off
         (Ideal(R3, (x * y, x**2 - y**2)), x, "elimination", Ideal(R3, (R3.one(),))),
@@ -1188,3 +1195,116 @@ def test_rational_point_blows_down_without_a_reduction_step():
         image = blowdown_image(leaf, point, R4)
     assert meter.used == 0
     assert image == Ideal.parse(R4, "x - 6; y - 3; z - 3; t + 3")
+
+
+def triangular_input(rng, ring):
+    """Generators c*v + h, one per variable of a random subset taken in a
+    random order, each h free of its own variable and of those taken
+    before it: the graph of the taken variables over the others."""
+    names = list(ring.names)
+    rng.shuffle(names)
+    taken = names[: rng.randint(1, ring.nvars)]
+    gens = []
+    for k, name in enumerate(taken):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            e = [rng.randint(0, 2) for _ in ring.names]
+            for done in taken[: k + 1]:
+                e[ring.index(done)] = 0
+            terms[tuple(e)] = rng.choice((1, -1, 2, Fraction(-1, 3)))
+        v = ring.var(name)
+        gens.append(rng.choice((1, -2, Fraction(1, 2))) * v + Polynomial(ring, terms))
+    return gens
+
+
+@pytest.mark.hashseed
+def test_membership_by_substitution_matches_normal_form():
+    # on an ideal presolve solves outright, contains substitutes the solved
+    # variables and computes no basis; members are combinations of the
+    # generators, non-members random polynomials
+    rng = random.Random("graph-membership")
+    answers = set()
+    graphs = 0
+    for _ in range(80):
+        ring = PolynomialRing(("a", "b", "c", "d"), rng.choice(ORDERS[:2]))
+        gens = triangular_input(rng, ring)
+        basis = groebner(gens)
+        candidates = [random_poly(rng, ring, rng.randint(1, 4), 2) for _ in range(2)]
+        candidates.append(sum((random_poly(rng, ring, 2, 1) * g for g in gens), ring.zero()))
+        for f in candidates:
+            ideal = Ideal(ring, gens)
+            got = ideal.contains(f)
+            assert got == normal_form(f, basis).is_zero(), (gens, f)
+            if ideal._graph() is not None:
+                graphs += 1
+                assert ideal._gb is None
+            answers.add(got)
+    assert answers == {True, False} and graphs > 200
+
+
+@pytest.mark.hashseed
+def test_radical_membership_on_a_squarefree_initial_ideal_matches_rabinowitsch():
+    # multilinear generators often have a reduced basis whose leading
+    # monomials are squarefree; such an ideal is radical, so a non-member
+    # is outside the radical, as the auxiliary variable confirms. Ideals
+    # presolve solves outright are left to the graph certificate
+    rng = random.Random("squarefree-radical")
+    ring = PolynomialRing(("a", "b", "c"))
+    answers = []
+    for _ in range(150):
+        gens = [random_poly(rng, ring, rng.randint(2, 3), 1) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(ring, gens)
+        if ideal._graph() is not None or not ideals._squarefree_initial(ideal.groebner()):
+            continue
+        f = random_poly(rng, ring, rng.randint(1, 3), 2)
+        if rng.random() < 0.3 and ideal.gens:
+            f = ideal.gens[0] * random_poly(rng, ring, 2, 1)
+        got = ideal.radical_contains(f)
+        assert got == reference_radical_contains(ideal, f), (gens, f)
+        answers.append(got)
+    assert answers.count(False) > 25 and answers.count(True) > 15
+
+
+@pytest.mark.hashseed
+def test_saturation_of_a_presolved_graph_matches_rabinowitsch():
+    rng = random.Random("graph-saturate")
+    certified = 0
+    for _ in range(80):
+        ring = PolynomialRing(("a", "b", "c", "d"))
+        ideal = Ideal(ring, triangular_input(rng, ring))
+        f = random_linear(rng, ring)
+        got = ideal.saturate(f)
+        want = ideals._rabinowitsch(ideal, f)
+        assert got.gens == want.gens, (ideal, f)
+        if saturation_route(ideal, f) == "graph":
+            certified += 1
+    assert certified > 40
+
+
+@pytest.mark.hashseed
+def test_membership_in_a_presolved_graph_computes_no_basis():
+    # a := b^2 solves first and leaves b, which b := c then solves; a
+    # member substitutes to 0 in that order
+    ideal = Ideal.parse(R3, "x - y^2; y - z")
+    with reduction_budget(10**6) as meter:
+        assert ideal.contains(R3.parse("x - z^2"))
+        assert ideal.contains(R3.parse("x*z - y^3"))
+        assert not ideal.contains(R3.parse("x - z"))
+    assert meter.used == 0 and ideal._gb is None
+
+
+@pytest.mark.hashseed
+def test_radical_membership_on_a_squarefree_initial_ideal_adjoins_no_variable(monkeypatch):
+    def refused(ideal, f):
+        raise AssertionError("auxiliary variable adjoined")
+
+    monkeypatch.setattr(ideals, "_rabinowitsch", refused)
+    # the coordinate axes of 3-space: no generator solves a variable, and
+    # the leading monomials x*y, x*z, y*z are squarefree
+    axes = Ideal.parse(R3, "x*y; x*z; y*z")
+    assert not axes.radical_contains(R3.parse("x + y"))
+    assert not axes.radical_contains(R3.parse("x^2 - z"))
+    assert axes.radical_contains(R3.parse("x^3*y"))
+    # y^2 is not squarefree, so x*y is in the radical only by the elimination
+    with pytest.raises(AssertionError, match="auxiliary"):
+        Ideal.parse(R3, "y^2; x*z").radical_contains(R3.parse("x*y"))

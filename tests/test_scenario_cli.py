@@ -99,6 +99,13 @@ class TestValidation:
         text = "[ring]\nvars = x, y\n[tower]\ns1: center = x\n"
         self.check(tmp_path, text, 4, "at least 2 generators")
 
+    @pytest.mark.parametrize("center", ["x; 2*x", "x^2; x"])
+    def test_principal_center_written_with_two_generators(self, tmp_path, center):
+        # the reduced basis is (x): blowing it up would drop V(x) from the
+        # strict transform of x*y = 0
+        text = f"[ring]\nvars = x, y\n[space]\nrelations = x*y\n[tower]\ns1: center = {center}\n"
+        self.check(tmp_path, text, 6, "at least 2 generators")
+
     def test_duplicate_name_across_sections(self, tmp_path):
         text = "[ring]\nvars = x, y\n[tower]\nD: center = x; y\n[cycles]\nD: gens = x\n"
         self.check(tmp_path, text, 6, "already used on line 4")
@@ -309,6 +316,13 @@ class TestCommandLine:
         for path in (tmp_path, undecodable):
             assert main([command, str(path)]) == 2
             assert capsys.readouterr().err.startswith(f"{path}: cannot read")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_json_path_that_cannot_be_written_exits_two(self, tmp_path, capsys, command):
+        target = tmp_path / "missing" / "r.json"
+        assert main([command, str(CORPUS / "smooth_blowup_plane.scn"), "--json", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{target}: cannot write") and "Traceback" not in err
 
     def test_strata_piece_may_repeat(self, tmp_path, capsys):
         text = PLANE.replace("main: rules = images",
